@@ -251,6 +251,9 @@ def _cmd_test(args) -> int:
     action = _build_action(args.group, data.shape)
     seed = _resolve_seed(args.seed, None)
     outcome = run_randomization_test(data, stat, action, cfg, RngStream(seed, 0))
+    if outcome.k > args.K:
+        print(f"warning: k = {outcome.k} exceeds K = {args.K} at alpha = "
+              f"{args.alpha}, so this test can never reject", file=sys.stderr)
     print(f"data {data.shape[0]}x{data.shape[1]}, statistic {stat.name}, "
           f"group {args.group}, K={args.K}, alpha={args.alpha}, seed {seed}")
     print(f"t0 = {outcome.t0:.17g}")

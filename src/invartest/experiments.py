@@ -134,16 +134,16 @@ class ScenarioConfig:
         if len(set(self.grid)) != len(self.grid):
             raise ValueError("grid values must be distinct")
         allowed, need_df = _SCENARIO_METHODS[self.scenario]
-        for label in self.methods:
-            meth = _parse_method(label, self.alpha)
+        parsed = [_parse_method(label, self.alpha) for label in self.methods]
+        for meth in parsed:
             if meth.kind not in allowed:
                 raise ValueError(
-                    f"method {label!r} not valid for scenario {self.scenario!r}"
+                    f"method {meth.label!r} not valid for scenario {self.scenario!r}"
                 )
             if need_df and meth.kind != "deterministic" and meth.df is None:
-                raise ValueError(f"method {label!r} needs a _t<df> suffix here")
+                raise ValueError(f"method {meth.label!r} needs a _t<df> suffix here")
             if not need_df and meth.df is not None:
-                raise ValueError(f"method {label!r}: df suffix not valid here")
+                raise ValueError(f"method {meth.label!r}: df suffix not valid here")
         if self.scenario == "two_sample" and self.n2 is None:
             raise ValueError("two_sample scenario needs n2")
         if self.noise is None:
@@ -155,6 +155,12 @@ class ScenarioConfig:
                 f"noise spec is {self.noise.n}x{self.noise.p}, scenario "
                 f"{self.scenario!r} draws {rows}x{cols}"
             )
+        for meth in parsed:
+            if meth.k > meth.K:
+                raise ValueError(
+                    f"method {meth.label!r}: k = {meth.k} exceeds K = {meth.K} at "
+                    f"alpha = {self.alpha}, so the test can never reject"
+                )
 
 
 @dataclass(eq=False)
@@ -594,6 +600,7 @@ def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
     kernel = _CHUNK_KERNELS[cfg.scenario]
     n_units = len(cfg.grid) * cfg.replicates
     bounds = [(lo, min(lo + _CHUNK, n_units)) for lo in range(0, n_units, _CHUNK)]
+    workers = min(workers, len(bounds))
     if workers <= 1:
         parts = [kernel(cfg, lo, hi) for lo, hi in bounds]
     else:

@@ -6,10 +6,10 @@ stateful-looking object and it is a frozen address, not a mutable state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
 __all__ = [
     "RngStream",
@@ -128,171 +128,34 @@ def pseudo_inverse(x) -> np.ndarray:
     return np.linalg.pinv(x, rcond=1e-12)
 
 
-# Acklam's rational approximation to the inverse normal CDF: three regions,
-# relative error ~1.15e-9 before refinement.
-_ACKLAM_A = (
-    -3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-    1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-    6.680131188771972e+01, -1.328068155288572e+01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-    -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03, 3.224671290700398e-01,
-    2.445134137142996e+00, 3.754408661907416e+00,
-)
-_ACKLAM_LOW = 0.02425
-
-
 def normal_cdf(z: float) -> float:
-    """Standard normal CDF through the error function."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def _acklam(u: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if u < _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if u > 1.0 - _ACKLAM_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = u - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    """Standard normal CDF."""
+    return float(special.ndtr(z))
 
 
 def normal_quantile(u: float) -> float:
-    """Inverse standard normal CDF, absolute error well below 1e-8.
-
-    Acklam's rational approximation followed by one Halley-corrected Newton
-    step against the erf-based CDF.
-    """
+    """Inverse standard normal CDF."""
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    z = _acklam(u)
-    # one refinement step; the residual e is tiny so this is exact to fp noise
-    e = normal_cdf(z) - u
-    density = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    step = e / density
-    return z - step / (1.0 + 0.5 * z * step)
-
-
-def _log_beta(a: float, b: float) -> float:
-    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz continued fraction for the incomplete beta; converges for
-    # x < (a+1)/(a+b+2), which callers guarantee via the symmetry relation.
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    front = math.exp(
-        a * math.log(x) + b * math.log1p(-x) - _log_beta(a, b)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - math.exp(
-        b * math.log1p(-x) + a * math.log(x) - _log_beta(b, a)
-    ) * _betacf(b, a, 1.0 - x) / b
+    return float(special.ndtri(u))
 
 
 def student_t_cdf(t: float, df: float) -> float:
     """CDF of Student's t with df degrees of freedom."""
     if df <= 0:
         raise ValueError(f"df must be positive, got {df}")
-    if t == 0.0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * _reg_inc_beta(0.5 * df, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
-def _student_t_pdf(t: float, df: float) -> float:
-    lognorm = math.lgamma(0.5 * (df + 1.0)) - math.lgamma(0.5 * df) \
-        - 0.5 * math.log(df * math.pi)
-    return math.exp(lognorm - 0.5 * (df + 1.0) * math.log1p(t * t / df))
+    return float(special.stdtr(df, t))
 
 
 def student_t_quantile(u: float, df: float) -> float:
-    """Inverse CDF of Student's t, absolute error below 1e-7.
-
-    Newton iteration on the incomplete-beta CDF, started from the normal
-    quantile; df=1 uses the closed Cauchy form.
-    """
+    """Inverse CDF of Student's t with df degrees of freedom."""
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    if u == 0.5:
-        return 0.0
-    if df == 1:
-        return math.tan(math.pi * (u - 0.5))
-    t = normal_quantile(u)
-    for _ in range(60):
-        err = student_t_cdf(t, df) - u
-        dens = _student_t_pdf(t, df)
-        if dens <= 0.0:
-            break
-        step = err / dens
-        # clamp to keep the iterate in the basin for extreme u
-        limit = 1.0 + abs(t)
-        if step > limit:
-            step = limit
-        elif step < -limit:
-            step = -limit
-        t -= step
-        if abs(step) < 1e-12 * (1.0 + abs(t)):
-            break
-    return t
+    return float(special.stdtrit(df, u))
 
 
 def sample_chi2(df: int, size, rng: RngStream | np.random.Generator) -> np.ndarray:

@@ -83,19 +83,19 @@ def varL_lowrank_exact(n: int, tau: float) -> float:
     return total
 
 
-def tau_star_sparse(n: int, p: int, tol: float = 1e-12) -> float:
-    """Smallest tau with varL_sparse(n, p, chi2_shift_gaussian(tau)) >= 1,
-    located by bisection."""
-    lo, hi = 0.0, 1.0
-    while varL_sparse(n, p, chi2_shift_gaussian(hi)) < 1.0:
-        hi *= 2.0
-    while hi - lo > tol * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        if varL_sparse(n, p, chi2_shift_gaussian(mid)) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def tau_star_sparse(n: int, p: int) -> float:
+    """Smallest tau with varL_sparse(n, p, chi2_shift_gaussian(tau)) >= 1.
+
+    With chi2 = exp(tau^2) - 1 the equation ((1 + chi2)^n - 1) / p = 1 solves
+    to tau = sqrt(log(1 + p) / n). Rounding can leave that value an ulp or two
+    short of the inequality, so it is stepped up until the inequality holds.
+    """
+    if n < 1 or p < 1:
+        raise ValueError("n and p must be >= 1")
+    tau = math.sqrt(math.log1p(p) / n)
+    while varL_sparse(n, p, chi2_shift_gaussian(tau)) < 1.0:
+        tau = math.nextafter(tau, math.inf)
+    return tau
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,20 @@ class TestTestSubcommand:
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_k_above_K_warns(self, tmp_path, capsys):
+        # K = 9 at alpha = 0.05 gives k = 10: the test runs but cannot reject
+        path = write_matrix(tmp_path, 5.0 * np.ones((12, 1)))
+        rc = cli.main(
+            ["test", "--data", str(path), "--stat", "colmean_linf",
+             "--group", "signflip", "--K", "9", "--alpha", "0.05",
+             "--seed", "3"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "reject = False" in captured.out
+        assert "warning" not in captured.out
+        assert "warning: k = 10 exceeds K = 9" in captured.err
+
     def test_alpha_one_is_usage_error(self, tmp_path, capsys):
         path = write_matrix(tmp_path, np.ones((4, 1)))
         rc = cli.main(

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy import stats
 
+from invartest import experiments
 from invartest.experiments import (
     CSV_HEADER,
     SCENARIOS,
@@ -160,6 +161,16 @@ class TestScenarioConfigValidation:
                 "two_sample", 10, 1, 10, NoiseSpec("iid_normal", 10, 1),
                 (0.0,), ("t_test",), 0.05, 10, 1,
             )
+
+    def test_k_above_K_rejected(self):
+        # alpha = 0.01 < 1/20 gives k = 20 > K = 19: a test that never rejects
+        with pytest.raises(ValueError, match=r"'signflip_K19': k = 20 exceeds K = 19"):
+            sparse_vector_config(3, alpha=0.01, ks=(19,))
+
+    def test_k_equal_K_accepted(self):
+        # alpha = 1/(K+1) is the max-test boundary k = K, still a valid test
+        cfg = sparse_vector_config(3, alpha=0.05, ks=(19,))
+        assert cfg.methods == ("deterministic", "signflip_K19", "rotation_K19")
 
 
 class TestPowerCurve:
@@ -327,6 +338,16 @@ class TestRunners:
         parallel = run_experiment(cfg, workers=2)
         assert serial == parallel
         assert serial.to_csv() == parallel.to_csv()
+
+    def test_single_chunk_runs_in_process(self, monkeypatch):
+        cfg = two_sample_config(seed=90008, grid_points=2, replicates=50, K=19)
+        serial = run_experiment(cfg, workers=1).to_csv()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk run started a process pool")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert run_experiment(cfg, workers=4).to_csv() == serial
 
     def test_different_seeds_differ(self):
         a = run_experiment(two_sample_config(seed=1, grid_points=2, replicates=120))

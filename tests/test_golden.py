@@ -1,0 +1,132 @@
+"""Golden outputs: the exact bytes of a small power study per scenario and
+the exact stdout of ``invartest test`` per group kind.
+
+Any change to how streams are consumed, to a quantile function or to a
+decision rule shows up here. A change that alters these bytes on purpose
+records new digests and says so in CHANGES.md.
+"""
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from invartest import cli
+from invartest import experiments as exp
+
+# small fixed configs whose grids sit where the power curves rise, so that
+# most cells are neither 0 nor all replicates
+GOLDEN_CONFIGS = {
+    "sparse_vector": lambda: replace(
+        exp.sparse_vector_config(3101, replicates=100), grid=(0.0, 0.4, 0.6, 0.8)),
+    "heavy_tail": lambda: replace(
+        exp.heavy_tail_config(3102, replicates=100), grid=(0.0, 0.4, 0.6, 0.8)),
+    "two_sample": lambda: replace(
+        exp.two_sample_config(3103, replicates=200), grid=(0.0, 0.5, 1.0, 1.5)),
+    "lowrank": lambda: replace(
+        exp.lowrank_config(3104, replicates=40), grid=(0.0, 1.0, 2.0, 3.0)),
+    "regression": lambda: replace(
+        exp.regression_config(3105, replicates=100), grid=(0.0, 0.5, 1.0, 1.5)),
+}
+
+# sha256 of the CSV; for regression, of the data rows only (header included)
+GOLDEN_SHA256 = {
+    "sparse_vector": "5a18e190e0b15f5aba3b5baab7d482586d76ac47da1b72c77f23667400398504",
+    "heavy_tail": "1a576dc2963210e1c3c21a07e528534ce9b3779f91913cc929b325976e5f1419",
+    "two_sample": "d6e09dc9b61ad28a40eb70801e9dd61e194c358896dcee41ba85d64c058c3dbd",
+    "lowrank": "a0705e64325f79986c524422d37e0134161e4be7196509bc115a7d603b5cdbc6",
+    "regression": "e9cb35b5098234f7e51b23d3538c731fc47bcb3c6e805982b09c8698f618966b",
+}
+
+# Monte Carlo means summed by BLAS, so pinned to a relative tolerance
+GOLDEN_REGRESSION_NOTES = {
+    "margin_tau_top": -6.1851066497584934,
+    "deterministic_margin_tau_top": 0.7504995300740481,
+    "tau_top": 1.5,
+    "u_plus_design": 9.24131981688015,
+    "t_bound": 0.9993344032154154,
+    "b_design": 2.4420424838420165,
+    "r_design": 2.5032286814473705,
+    "b_noise": 0.4091650813264723,
+    "r_noise": 0.21727732244194703,
+    "l": 2.716203031481239,
+    "mc": 2000,
+}
+
+
+def _data_rows(csv: str) -> str:
+    return "".join(ln + "\n" for ln in csv.splitlines() if not ln.startswith("#"))
+
+
+class TestGoldenPowerCurves:
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN_CONFIGS))
+    def test_csv_digest(self, scenario):
+        csv = exp.run_experiment(GOLDEN_CONFIGS[scenario]()).to_csv()
+        if scenario == "regression":
+            csv = _data_rows(csv)
+        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[scenario]
+
+    def test_regression_notes(self):
+        notes = exp.run_experiment(GOLDEN_CONFIGS["regression"]()).notes
+        assert notes.keys() == GOLDEN_REGRESSION_NOTES.keys()
+        for key, value in GOLDEN_REGRESSION_NOTES.items():
+            assert notes[key] == pytest.approx(value, rel=1e-12), key
+
+
+_TEST_PREAMBLE = "data 10x4, statistic {stat}, group {group}, K=19, alpha=0.05, seed 3107\n"
+_K_LINE = "k = 19 (rejection needs at least k of the K+1 values strictly below t0)\n"
+
+GOLDEN_TEST_STDOUT = {
+    "signflip": (
+        "colmean_linf",
+        _TEST_PREAMBLE.format(stat="colmean_linf", group="signflip")
+        + "t0 = 1.1290175013620352\n" + _K_LINE
+        + "reject = False\np_value = 0.10000000000000001\n",
+    ),
+    "permutation": (
+        "twosample_diff",
+        _TEST_PREAMBLE.format(stat="twosample_diff_linf", group="permutation")
+        + "t0 = 2.1009626907921075\n" + _K_LINE
+        + "reject = True\np_value = 0.050000000000000003\n",
+    ),
+    "rotation": (
+        "colmean_linf",
+        _TEST_PREAMBLE.format(stat="colmean_linf", group="rotation")
+        + "t0 = 1.1290175013620352\n" + _K_LINE
+        + "reject = True\np_value = 0.050000000000000003\n",
+    ),
+    "rotation_per_column": (
+        "opnorm",
+        _TEST_PREAMBLE.format(stat="opnorm", group="rotation_per_column")
+        + "t0 = 5.5326327847000023\n" + _K_LINE
+        + "reject = False\np_value = 0.84999999999999998\n",
+    ),
+}
+
+
+@pytest.fixture
+def golden_matrix(tmp_path):
+    """A 10x4 Gaussian matrix with a 2.5 shift on the first half of column 0."""
+    data = np.random.Generator(np.random.PCG64(3106)).standard_normal((10, 4))
+    data[:5, 0] += 2.5
+    path = tmp_path / "data.csv"
+    path.write_text(
+        "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data),
+        encoding="utf-8",
+    )
+    return path
+
+
+class TestGoldenTestCommand:
+    @pytest.mark.parametrize("group", sorted(GOLDEN_TEST_STDOUT))
+    def test_stdout(self, group, golden_matrix, capsys):
+        stat, expected = GOLDEN_TEST_STDOUT[group]
+        rc = cli.main(
+            ["test", "--data", str(golden_matrix), "--stat", stat,
+             "--group", group, "--K", "19", "--alpha", "0.05", "--seed", "3107"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert captured.out == expected
+        assert captured.err == ""

@@ -140,11 +140,23 @@ class TestTauStarSparse:
         assert tau_star_sparse(50, 100) == pytest.approx(TAU_STAR_50_100, rel=1e-10)
 
     def test_root_property(self):
-        for n, p in ((50, 100), (200, 1000)):
-            star = tau_star_sparse(n, p)
-            assert varL_sparse(n, p, chi2_shift_gaussian(star)) >= 1.0
-            below = varL_sparse(n, p, chi2_shift_gaussian(star * (1 - 1e-6)))
-            assert below < 1.0
+        # the grid holds cases where sqrt(log1p(p) / n), rounded, leaves
+        # varL an ulp below 1
+        for n in (1, 3, 7, 20, 50, 200, 1000):
+            for p in (2, 10, 50, 100, 1000, 10**4, 10**6):
+                star = tau_star_sparse(n, p)
+                assert varL_sparse(n, p, chi2_shift_gaussian(star)) >= 1.0, (n, p)
+                below = varL_sparse(n, p, chi2_shift_gaussian(star * (1 - 1e-6)))
+                assert below < 1.0, (n, p)
+
+    def test_closed_form(self):
+        for n, p in ((1, 2), (7, 50), (50, 100), (1000, 10**6)):
+            assert tau_star_sparse(n, p) == pytest.approx(
+                math.sqrt(math.log1p(p) / n), rel=1e-12)
+
+    def test_domain(self):
+        with pytest.raises(ValueError, match="n and p"):
+            tau_star_sparse(0, 10)
 
     def test_rate_scaling(self):
         # tau* tracks sqrt(log p / n) up to a stable constant
