@@ -22,11 +22,6 @@ from .experiments import (
     lowrank_config,
     regression_config,
     run_experiment,
-    run_heavy_tail_experiment,
-    run_lowrank_experiment,
-    run_regression_experiment,
-    run_sparse_vector_experiment,
-    run_two_sample_experiment,
     sparse_vector_config,
     two_sample_config,
     two_sample_t_test,
@@ -108,13 +103,8 @@ __all__ = [
     "qr_orthonormalize",
     "regression_config",
     "run_experiment",
-    "run_heavy_tail_experiment",
-    "run_lowrank_experiment",
     "run_max_test",
     "run_randomization_test",
-    "run_regression_experiment",
-    "run_sparse_vector_experiment",
-    "run_two_sample_experiment",
     "sample_haar_orthogonal",
     "sample_noise",
     "sample_permutation",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,8 @@ def run_randomization_test(
 
     The identity enters the multiset exactly once, as the observed value
     itself. The reported p-value uses the >= convention, so reject and
-    p_value <= alpha coincide only in the absence of ties.
+    p_value <= alpha coincide only in the absence of ties. A test with
+    k > K can never reject; it runs, with a RuntimeWarning.
     """
     gen = as_generator(rng)
     t0 = f(x)
@@ -122,6 +124,9 @@ def run_randomization_test(
     for i in range(cfg.K):
         randomized[i] = f(action.randomize(x, gen))
     k = cfg.K if cfg.variant == "max" else order_index(cfg.K, cfg.alpha)
+    if k > cfg.K:
+        warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "
+                      "so this test can never reject", RuntimeWarning)
     return RandTestOutcome(
         t0=t0,
         randomized=randomized,

@@ -1,9 +1,11 @@
 """Monte Carlo power experiments.
 
-Five scenario runners produce power curves over a signal grid: the sparse
-location scenario with deterministic, signflip, and rotation tests; its
-heavy-tailed variant; a two-sample permutation-versus-t comparison; a
-low-rank matrix detection check; and a regression signflip check.
+``run_experiment`` produces power curves over a signal grid for five
+scenarios: the sparse location scenario with deterministic, signflip, and
+rotation tests; its heavy-tailed variant; a two-sample permutation-versus-t
+comparison; a low-rank matrix detection check; and a regression signflip
+check. Each scenario is a setup (per-chunk constants) plus a per-unit
+function under one unit loop.
 
 Determinism contract: every (grid point, replicate) unit owns the stream
 RngStream(seed, g * replicates + r); the noise draw uses child(0) and method
@@ -43,11 +45,6 @@ __all__ = [
     "two_sample_config",
     "lowrank_config",
     "regression_config",
-    "run_sparse_vector_experiment",
-    "run_heavy_tail_experiment",
-    "run_two_sample_experiment",
-    "run_lowrank_experiment",
-    "run_regression_experiment",
     "run_experiment",
     "two_sample_t_test",
 ]
@@ -101,7 +98,7 @@ _SCENARIO_METHODS = {
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Everything a scenario runner needs, minus the worker count.
+    """Everything a power experiment needs, minus the worker count.
 
     The master seed lives here so that (config, seed) fully determines the
     output; design_seed fixes the regression design matrix independently of
@@ -431,134 +428,94 @@ _CONFIG_FACTORIES = {
 
 
 # ---------------------------------------------------------------------------
-# per-scenario chunk kernels (top level so worker processes can unpickle them)
+# scenarios under one unit loop: setup(cfg, methods) computes per-chunk
+# constants; unit(cfg, constants, signal, noise stream, (method, generator)
+# pairs) draws one unit and yields one rejection per method, in method order
 
-def _unit_stream(cfg: ScenarioConfig, unit: int) -> RngStream:
-    return RngStream(cfg.seed, unit)
+def _signflips(gen: np.random.Generator, K: int, n: int) -> np.ndarray:
+    """K uniform sign vectors of length n as a (K, n) float array."""
+    return gen.integers(0, 2, size=(K, n)) * 2.0 - 1.0
 
 
-def _sphere_linf_values(gen: np.random.Generator, K: int, p: int,
-                        radius: float) -> np.ndarray:
-    """sup-norms of K uniform points on the radius-|c| sphere in R^p.
+def _unit_sphere(z: np.ndarray) -> np.ndarray:
+    """z scaled to unit length along axis 1 (zero vectors stay zero).
 
-    A Haar rotation of the column-mean vector is exactly such a point, so
-    this is the lazy image of the rotation orbit for max-column-mean tests.
+    Gaussian vectors scaled this way are uniform on the sphere, so times a
+    radius they are the lazy image of a Haar rotation of a vector (or of each
+    column) with that norm.
     """
-    z = gen.standard_normal((K, p))
-    norms = np.linalg.norm(z, axis=1)
-    norms = np.where(norms > 0.0, norms, 1.0)
-    return np.max(np.abs(z), axis=1) / norms * radius
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z /= np.where(norms > 0.0, norms, 1.0)
+    return z
 
 
-def _sparse_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
-    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
+def _sparse_setup(cfg: ScenarioConfig, parsed) -> tuple[float, dict]:
+    """The deterministic threshold, and the noise spec of each df in sorted
+    order: one Student t spec per df for heavy_tail, cfg.noise otherwise."""
     t_det = normal_quantile(((1.0 - cfg.alpha) ** (1.0 / cfg.p) + 1.0) / 2.0)
     t_det /= math.sqrt(cfg.n)
-    for unit in range(lo, hi):
-        g, _ = divmod(unit, cfg.replicates)
-        mu = cfg.grid[g]
-        stream = _unit_stream(cfg, unit)
-        x = sample_noise(cfg.noise, stream.child(0))
+    dfs = sorted({meth.df for meth in parsed})
+    return t_det, {df: cfg.noise if df is None else replace(cfg.noise, df=df)
+                   for df in dfs}
+
+
+def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
+    t_det, specs = const
+    noise_gen = noise.generator()
+    drawn = {}
+    for df, spec in specs.items():  # one matrix per df, drawn in sorted order
+        x = sample_noise(spec, noise_gen)
         x[:, 0] += mu
         c = x.mean(axis=0)
-        t0 = float(np.max(np.abs(c)))
-        radius = float(np.linalg.norm(c))
-        for m, meth in enumerate(parsed):
-            if meth.kind == "deterministic":
-                rej = t0 > t_det
-            else:
-                gen = stream.child(1 + m).generator()
-                if meth.kind == "signflip":
-                    b = gen.integers(0, 2, size=(meth.K, cfg.n)) * 2.0 - 1.0
-                    vals = np.max(np.abs(b @ x), axis=1) / cfg.n
-                else:  # rotation acts on rows, hence on the column-mean vector
-                    vals = _sphere_linf_values(gen, meth.K, cfg.p, radius)
-                rej = decide(t0, vals, meth.k)
-            counts[g, m] += rej
-    return counts
+        drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c))
+    for meth, gen in methods:
+        x, t0, radius = drawn[meth.df]
+        if meth.kind == "deterministic":
+            yield t0 > t_det
+        elif meth.kind == "signflip":
+            vals = np.max(np.abs(_signflips(gen, meth.K, cfg.n) @ x), axis=1) / cfg.n
+            yield decide(t0, vals, meth.k)
+        else:  # rotation acts on rows, hence on the column-mean vector
+            z = _unit_sphere(gen.standard_normal((meth.K, cfg.p)))
+            yield decide(t0, np.max(np.abs(z), axis=1) * radius, meth.k)
 
 
-def _heavy_tail_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
-    dfs = sorted({meth.df for meth in parsed})
-    specs = {df: replace(cfg.noise, df=df) for df in dfs}
-    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
-    for unit in range(lo, hi):
-        g, _ = divmod(unit, cfg.replicates)
-        mu = cfg.grid[g]
-        stream = _unit_stream(cfg, unit)
-        noise_gen = stream.child(0).generator()
-        stats = {}
-        mats = {}
-        for df in dfs:  # one matrix per df, drawn in sorted order
-            x = sample_noise(specs[df], noise_gen)
-            x[:, 0] += mu
-            mats[df] = x
-            stats[df] = float(np.max(np.abs(x.mean(axis=0))))
-        for m, meth in enumerate(parsed):
-            gen = stream.child(1 + m).generator()
-            b = gen.integers(0, 2, size=(meth.K, cfg.n)) * 2.0 - 1.0
-            vals = np.max(np.abs(b @ mats[meth.df]), axis=1) / cfg.n
-            counts[g, m] += decide(stats[meth.df], vals, meth.k)
-    return counts
+def _two_sample_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
+    n = cfg.n
+    w = sample_noise(cfg.noise, noise)[:, 0]
+    z = w[:n]
+    y = w[n:] + mu
+    w = np.concatenate([z, y])
+    centered = w - w.mean()  # grand mean is the nuisance direction
+    t0 = abs(float(centered[:n].mean() - centered[n:].mean()))
+    for meth, gen in methods:
+        if meth.kind == "t_test":
+            yield two_sample_t_test(z, y, cfg.alpha)
+        else:
+            # argsort of iid uniforms is a uniform permutation
+            perms = np.argsort(gen.random((meth.K, w.size)), axis=1)
+            shuffled = centered[perms]
+            vals = np.abs(shuffled[:, :n].mean(axis=1) - shuffled[:, n:].mean(axis=1))
+            yield decide(t0, vals, meth.k)
 
 
-def _two_sample_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
-    n, n2 = cfg.n, cfg.n2
-    total = n + n2
-    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
-    for unit in range(lo, hi):
-        g, _ = divmod(unit, cfg.replicates)
-        mu = cfg.grid[g]
-        stream = _unit_stream(cfg, unit)
-        w = sample_noise(cfg.noise, stream.child(0))[:, 0]
-        z = w[:n]
-        y = w[n:] + mu
-        w = np.concatenate([z, y])
-        centered = w - w.mean()  # grand mean is the nuisance direction
-        t0 = abs(float(centered[:n].mean() - centered[n:].mean()))
-        for m, meth in enumerate(parsed):
-            if meth.kind == "t_test":
-                rej = two_sample_t_test(z, y, cfg.alpha)
-            else:
-                gen = stream.child(1 + m).generator()
-                # argsort of iid uniforms is a uniform permutation
-                perms = np.argsort(gen.random((meth.K, total)), axis=1)
-                shuffled = centered[perms]
-                vals = np.abs(shuffled[:, :n].mean(axis=1)
-                              - shuffled[:, n:].mean(axis=1))
-                rej = decide(t0, vals, meth.k)
-            counts[g, m] += rej
-    return counts
+def _lowrank_setup(cfg: ScenarioConfig, parsed) -> np.ndarray:
+    u = np.full(cfg.n, 1.0 / math.sqrt(cfg.n))
+    v = np.full(cfg.p, 1.0 / math.sqrt(cfg.p))
+    return math.sqrt(cfg.n / 2.0) * np.outer(u, v)
 
 
-def _lowrank_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
-    n, p = cfg.n, cfg.p
-    u = np.full(n, 1.0 / math.sqrt(n))
-    v = np.full(p, 1.0 / math.sqrt(p))
-    base = math.sqrt(n / 2.0) * np.outer(u, v)
-    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
-    for unit in range(lo, hi):
-        g, _ = divmod(unit, cfg.replicates)
-        tau = cfg.grid[g]
-        stream = _unit_stream(cfg, unit)
-        x = sample_noise(cfg.noise, stream.child(0)) + tau * base
-        t0 = float(np.linalg.svd(x, compute_uv=False)[0])
-        col_norms = np.linalg.norm(x, axis=0)
-        for m, meth in enumerate(parsed):
-            gen = stream.child(1 + m).generator()
-            # lazy per-column rotation: each column becomes a uniform point
-            # on the sphere of its own radius
-            z = gen.standard_normal((meth.K, n, p))
-            norms = np.linalg.norm(z, axis=1, keepdims=True)
-            norms = np.where(norms > 0.0, norms, 1.0)
-            rotated = z / norms * col_norms[None, None, :]
-            vals = np.linalg.svd(rotated, compute_uv=False)[:, 0]
-            counts[g, m] += decide(t0, vals, meth.k)
-    return counts
+def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, methods):
+    x = sample_noise(cfg.noise, noise) + tau * base
+    t0 = float(np.linalg.svd(x, compute_uv=False)[0])
+    col_norms = np.linalg.norm(x, axis=0)
+    for meth, gen in methods:
+        # lazy per-column rotation: each column becomes a uniform point on
+        # the sphere of its own radius
+        z = _unit_sphere(gen.standard_normal((meth.K, cfg.n, cfg.p)))
+        z *= col_norms[None, None, :]
+        vals = np.linalg.svd(z, compute_uv=False)[:, 0]
+        yield decide(t0, vals, meth.k)
 
 
 def regression_design(cfg: ScenarioConfig) -> np.ndarray:
@@ -567,87 +524,66 @@ def regression_design(cfg: ScenarioConfig) -> np.ndarray:
     return gen.standard_normal((cfg.n, cfg.p))
 
 
-def _regression_chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
+def _regression_setup(cfg: ScenarioConfig, parsed) -> tuple[np.ndarray, np.ndarray]:
     design = regression_design(cfg)
-    pinv = pseudo_inverse(design)
-    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
-    for unit in range(lo, hi):
-        g, _ = divmod(unit, cfg.replicates)
-        tau = cfg.grid[g]
-        stream = _unit_stream(cfg, unit)
-        eps = sample_noise(cfg.noise, stream.child(0))[:, 0]
-        y = tau * design[:, 0] + eps
-        t0 = float(np.max(np.abs(pinv @ y)))
-        for m, meth in enumerate(parsed):
-            gen = stream.child(1 + m).generator()
-            b = gen.integers(0, 2, size=(meth.K, cfg.n)) * 2.0 - 1.0
-            vals = np.max(np.abs(pinv @ (b * y[None, :]).T), axis=0)
-            counts[g, m] += decide(t0, vals, meth.k)
-    return counts
+    return design[:, 0], pseudo_inverse(design)
 
 
-_CHUNK_KERNELS = {
-    "sparse_vector": _sparse_chunk,
-    "heavy_tail": _heavy_tail_chunk,
-    "two_sample": _two_sample_chunk,
-    "lowrank": _lowrank_chunk,
-    "regression": _regression_chunk,
+def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
+    column, pinv = const
+    eps = sample_noise(cfg.noise, noise)[:, 0]
+    y = tau * column + eps
+    t0 = float(np.max(np.abs(pinv @ y)))
+    for meth, gen in methods:
+        b = _signflips(gen, meth.K, cfg.n)
+        b *= y[None, :]
+        vals = np.max(np.abs(pinv @ b.T), axis=0)
+        yield decide(t0, vals, meth.k)
+
+
+# (setup or None, unit) per scenario; heavy_tail is the sparse scenario under
+# Student t noise
+_SCENARIO_UNITS = {
+    "sparse_vector": (_sparse_setup, _sparse_unit),
+    "heavy_tail": (_sparse_setup, _sparse_unit),
+    "two_sample": (None, _two_sample_unit),
+    "lowrank": (_lowrank_setup, _lowrank_unit),
+    "regression": (_regression_setup, _regression_unit),
 }
 
 
+def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
+    """Rejection counts of units [lo, hi); top level so that worker
+    processes can unpickle it."""
+    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
+    setup, unit = _SCENARIO_UNITS[cfg.scenario]
+    const = setup(cfg, parsed) if setup else None
+    counts = np.zeros((len(cfg.grid), len(parsed)), dtype=np.int64)
+    for u in range(lo, hi):
+        g = u // cfg.replicates
+        stream = RngStream(cfg.seed, u)
+        # deterministic and t_test (K = 0) draw nothing, so get no generator
+        gens = [stream.child(1 + m).generator() if meth.K else None
+                for m, meth in enumerate(parsed)]
+        counts[g] += list(unit(cfg, const, cfg.grid[g], stream.child(0),
+                               zip(parsed, gens)))
+    return counts
+
+
 def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
-    kernel = _CHUNK_KERNELS[cfg.scenario]
     n_units = len(cfg.grid) * cfg.replicates
     bounds = [(lo, min(lo + _CHUNK, n_units)) for lo in range(0, n_units, _CHUNK)]
     workers = min(workers, len(bounds))
     if workers <= 1:
-        parts = [kernel(cfg, lo, hi) for lo, hi in bounds]
+        parts = [_chunk(cfg, lo, hi) for lo, hi in bounds]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(kernel, repeat(cfg),
+            parts = list(pool.map(_chunk, repeat(cfg),
                                   [b[0] for b in bounds], [b[1] for b in bounds]))
     total = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
     for part in parts:
         total += part
     return total
-
-
-def _require_scenario(cfg: ScenarioConfig, expected: str) -> None:
-    if cfg.scenario != expected:
-        raise ValueError(f"config is for {cfg.scenario!r}, runner expects {expected!r}")
-
-
-def run_sparse_vector_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Power of deterministic, signflip, and rotation tests on sparse means."""
-    _require_scenario(cfg, "sparse_vector")
-    counts = _run_units(cfg, workers)
-    return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,
-                      cfg.replicates, cfg.seed)
-
-
-def run_heavy_tail_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Signflip power under Student t entries, one curve per df."""
-    _require_scenario(cfg, "heavy_tail")
-    counts = _run_units(cfg, workers)
-    return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,
-                      cfg.replicates, cfg.seed)
-
-
-def run_two_sample_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Mean-shift power of the permutation test against the pooled t-test."""
-    _require_scenario(cfg, "two_sample")
-    counts = _run_units(cfg, workers)
-    return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,
-                      cfg.replicates, cfg.seed)
-
-
-def run_lowrank_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Operator-norm power against per-column rotations for rank-one signal."""
-    _require_scenario(cfg, "lowrank")
-    counts = _run_units(cfg, workers)
-    return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,
-                      cfg.replicates, cfg.seed)
 
 
 # mean absolute value of a t(3) variable, used for a representative noise
@@ -693,31 +629,17 @@ def _regression_margin_notes(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_regression_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Signflip power for a max-coefficient statistic on a fixed design.
+def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
+    """Power curve of every method in cfg over its signal grid.
 
-    The returned curve's notes carry the design's consistency-margin report;
+    A regression curve's notes carry the design's consistency-margin report;
     a margin below 1 records that the sufficient condition is not met at
     these dimensions, not that the test is invalid.
     """
-    _require_scenario(cfg, "regression")
     counts = _run_units(cfg, workers)
+    notes = _regression_margin_notes(cfg) if cfg.scenario == "regression" else {}
     return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,
-                      cfg.replicates, cfg.seed, notes=_regression_margin_notes(cfg))
-
-
-_RUNNERS = {
-    "sparse_vector": run_sparse_vector_experiment,
-    "heavy_tail": run_heavy_tail_experiment,
-    "two_sample": run_two_sample_experiment,
-    "lowrank": run_lowrank_experiment,
-    "regression": run_regression_experiment,
-}
-
-
-def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
-    """Dispatch to the runner matching cfg.scenario."""
-    return _RUNNERS[cfg.scenario](cfg, workers)
+                      cfg.replicates, cfg.seed, notes=notes)
 
 
 def two_sample_t_test(z, y, alpha: float) -> bool:

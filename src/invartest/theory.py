@@ -162,7 +162,7 @@ def bernoulli_bound_design(
     gens = pinv[:, None, :] * x.T[None, :, :]
     signs = gen.integers(0, 2, size=(mc, n)) * 2.0 - 1.0
     # per draw: max_j sum_q |sum_k gens[j,q,k] b_k|
-    inner = np.einsum("jqk,mk->mjq", gens, signs)
+    inner = (signs @ gens.reshape(p * p, n).T).reshape(mc, p, p)
     sups = np.max(np.sum(np.abs(inner), axis=2), axis=1)
     b_est = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0

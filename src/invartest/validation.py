@@ -374,7 +374,7 @@ def _check_engine_monotonicity(stream: RngStream, budget: dict) -> CheckResult:
     cfg = _exp.sparse_vector_config(
         seed=int(stream.child(0).generator().integers(2 ** 31)),
         grid_points=5, replicates=budget["mono_reps"], ks=(19,))
-    curve = _exp.run_sparse_vector_experiment(cfg)
+    curve = _exp.run_experiment(cfg)
     fails = []
     for method in curve.methods:
         power = curve.series(method)
@@ -523,25 +523,16 @@ def _check_bernoulli_se(stream: RngStream, budget: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 # experiments
 
-def _null_only(factory, seed: int, reps: int):
-    return factory(seed, grid_points=1, replicates=reps)
-
-
 def _check_null_levels(stream: RngStream, budget: dict) -> CheckResult:
     gen = stream.generator()
     reps = budget["null_reps"]
     fails = []
     details = []
-    runs = [
-        ("sparse_vector", _exp.sparse_vector_config, _exp.run_sparse_vector_experiment),
-        ("heavy_tail", _exp.heavy_tail_config, _exp.run_heavy_tail_experiment),
-        ("two_sample", _exp.two_sample_config, _exp.run_two_sample_experiment),
-        ("lowrank", _exp.lowrank_config, _exp.run_lowrank_experiment),
-        ("regression", _exp.regression_config, _exp.run_regression_experiment),
-    ]
-    for scenario, factory, runner in runs:
-        cfg = _null_only(factory, int(gen.integers(2 ** 31)), reps[scenario])
-        curve = runner(cfg)
+    for scenario in _exp.SCENARIOS:
+        factory = _exp._CONFIG_FACTORIES[scenario]
+        cfg = factory(int(gen.integers(2 ** 31)), grid_points=1,
+                      replicates=reps[scenario])
+        curve = _exp.run_experiment(cfg)
         for method in curve.methods:
             k_match = _exp._parse_method(method, cfg.alpha)
             if k_match.kind in ("deterministic", "t_test"):
@@ -563,9 +554,9 @@ def _check_experiment_reproducible(stream: RngStream, budget: dict) -> CheckResu
     seed = int(stream.generator().integers(2 ** 31))
     cfg = _exp.two_sample_config(seed, grid_points=budget["repro_points"],
                                  replicates=budget["repro_reps"])
-    first = _exp.run_two_sample_experiment(cfg).to_csv()
-    second = _exp.run_two_sample_experiment(cfg).to_csv()
-    third = _exp.run_two_sample_experiment(cfg, workers=2).to_csv()
+    first = _exp.run_experiment(cfg).to_csv()
+    second = _exp.run_experiment(cfg).to_csv()
+    third = _exp.run_experiment(cfg, workers=2).to_csv()
     return _result("experiment_reproducibility",
                    first == second == third,
                    "identical CSV across reruns and worker counts")
@@ -574,7 +565,7 @@ def _check_experiment_reproducible(stream: RngStream, budget: dict) -> CheckResu
 def _check_csv_roundtrip(stream: RngStream, budget: dict) -> CheckResult:
     seed = int(stream.generator().integers(2 ** 31))
     cfg = _exp.regression_config(seed, grid_points=2, replicates=40)
-    curve = _exp.run_regression_experiment(cfg)
+    curve = _exp.run_experiment(cfg)
     back = _exp.PowerCurve.from_csv(curve.to_csv())
     return _result("csv_roundtrip", back == curve,
                    "PowerCurve -> CSV -> PowerCurve is lossless (notes included)")

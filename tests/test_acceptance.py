@@ -32,9 +32,6 @@ from invartest.experiments import (
     heavy_tail_config,
     regression_config,
     run_experiment,
-    run_heavy_tail_experiment,
-    run_sparse_vector_experiment,
-    run_two_sample_experiment,
     sparse_vector_config,
     two_sample_config,
 )
@@ -118,7 +115,7 @@ def test_criterion_02_sampled_test_level_control():
     band = 0.0065
     checked = ("signflip_K19", "signflip_K99", "rotation_K19", "rotation_K99")
 
-    curve = run_sparse_vector_experiment(
+    curve = run_experiment(
         sparse_vector_config(20260201, grid_points=1, replicates=10000)
     )
     print(f"gaussian deterministic level {curve.series('deterministic')[0]:.4f}")
@@ -134,13 +131,13 @@ def test_criterion_02_sampled_test_level_control():
             grid=(0.0,), methods=checked,
             alpha=0.05, replicates=10000, seed=seed,
         )
-        curve = run_sparse_vector_experiment(cfg)
+        curve = run_experiment(cfg)
         for label in checked:
             level = curve.series(label)[0]
             print(f"spherical t({df}) {label} level {level:.4f}")
             assert abs(level - 0.05) <= band, f"spherical t({df}) {label}: {level}"
 
-    curve = run_heavy_tail_experiment(
+    curve = run_experiment(
         heavy_tail_config(20260204, grid_points=1, replicates=10000)
     )
     for label in curve.methods:
@@ -158,7 +155,7 @@ def test_criterion_03_sparse_vector_power_curves():
     keeps K = 99 within 0.05 of K = 19 from below, pointwise.
     """
     start = time.monotonic()
-    curve = run_sparse_vector_experiment(sparse_vector_config(20260301))
+    curve = run_experiment(sparse_vector_config(20260301))
     det = curve.series("deterministic")
     rand_labels = ("signflip_K19", "signflip_K99", "rotation_K19", "rotation_K99")
 
@@ -194,7 +191,7 @@ def test_criterion_04_heavy_tail_power_curves():
     curve stays above the t(3) curve up to 2 (SE_3 + SE_5), pointwise, for
     both K = 19 and K = 99.
     """
-    curve = run_heavy_tail_experiment(heavy_tail_config(20260401))
+    curve = run_experiment(heavy_tail_config(20260401))
 
     for label in curve.methods:
         power = curve.series(label)
@@ -220,7 +217,7 @@ def test_criterion_05_two_sample_power_curves():
     within three binomial SE of 0.05.
     """
     start = time.monotonic()
-    curve = run_two_sample_experiment(two_sample_config(20260501))
+    curve = run_experiment(two_sample_config(20260501))
     perm = curve.series("permutation_K99")
     tt = curve.series("t_test")
     se_perm = curve.se_series("permutation_K99")

@@ -3,6 +3,8 @@ full-group oracle, and nuisance projection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from invartest.engine import (
@@ -110,9 +112,10 @@ class TestRunRandomizationTest:
         stat = make_statistic("colmean_linf", sample_shape=(6, 1))
         action = GroupAction("signflip_rows", n=6)
         cfg = RandTestConfig(K=9, alpha=0.05)
-        out = run_randomization_test(
-            np.ones((6, 1)), stat, action, cfg, RngStream(61099)
-        )
+        with pytest.warns(RuntimeWarning, match="exceeds K"):
+            out = run_randomization_test(
+                np.ones((6, 1)), stat, action, cfg, RngStream(61099)
+            )
         assert out.k == 10
         assert np.all(out.randomized < out.t0)
         assert out.reject is False
@@ -209,6 +212,8 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="discrete"):
             brute_force_full_group_test(np.ones((3, 2)), stat, "rotate_full", 0.05)
 
+    # K = 15 at alpha = 0.05 cannot reject and warns so; only p-values count here
+    @pytest.mark.filterwarnings("ignore:k = 16 exceeds K = 15")
     def test_sampled_p_converges_to_exact(self):
         # Monte Carlo p-values approach the full-group p-value as K grows
         stat = make_statistic("colmean_linf", sample_shape=(8, 2))
@@ -265,3 +270,37 @@ class TestProjectOutNuisance:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             project_out_nuisance(np.ones((4, 2)), [np.ones(5)])
+
+
+# derandomized, so that every run of the suite checks the same examples
+class TestDecisionProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(K=st.integers(1, 2000), data=st.data())
+    def test_decide_matches_p_value_without_ties(self, K, data):
+        alpha = data.draw(st.one_of(
+            st.floats(1e-6, 1.0 - 1e-6),
+            st.integers(1, K).map(lambda j: j / (K + 1)),
+        ), label="alpha")
+        below = data.draw(st.integers(0, K), label="below")
+        # t0 = 0 with `below` orbit values under it and the rest above it
+        vals = np.concatenate([-1.0 - np.arange(below), 1.0 + np.arange(K - below)])
+        assert decide(0.0, vals, order_index(K, alpha)) == (
+            p_value_from_counts(0.0, vals) <= alpha)
+
+    @settings(derandomize=True)
+    @given(K=st.integers(1, 10**6))
+    def test_max_test_alpha_gives_k_equal_K(self, K):
+        assert order_index(K, 1.0 / (K + 1)) == K
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(K=st.integers(1, 60), seed=st.integers(0, 2**31 - 1),
+           shift=st.floats(0.0, 3.0))
+    def test_max_test_matches_quantile_rule(self, K, seed, shift):
+        stat = make_statistic("colmean_linf", sample_shape=(6, 2))
+        action = GroupAction("signflip_rows", n=6)
+        x = RngStream(seed, 0).generator().standard_normal((6, 2)) + shift
+        a = run_max_test(x, stat, action, K, RngStream(seed, 1))
+        cfg = RandTestConfig(K=K, alpha=1.0 / (K + 1))
+        b = run_randomization_test(x, stat, action, cfg, RngStream(seed, 1))
+        assert (a.k, a.reject, a.p_value) == (b.k, b.reject, b.p_value)
+        assert_array_equal(a.randomized, b.randomized)

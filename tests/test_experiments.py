@@ -18,10 +18,6 @@ from invartest.experiments import (
     lowrank_config,
     regression_config,
     run_experiment,
-    run_lowrank_experiment,
-    run_regression_experiment,
-    run_sparse_vector_experiment,
-    run_two_sample_experiment,
     sparse_vector_config,
     two_sample_config,
     two_sample_t_test,
@@ -269,7 +265,7 @@ class TestRunners:
     def test_sparse_vector_levels_and_saturation(self):
         cfg = sparse_vector_config(seed=90001, grid_points=2, replicates=300,
                                    ks=(19,))
-        curve = run_sparse_vector_experiment(cfg)
+        curve = run_experiment(cfg)
         assert curve.grid[0] == 0.0
         band = 3 * math.sqrt(0.05 * 0.95 / 300)
         for method in curve.methods:
@@ -287,7 +283,7 @@ class TestRunners:
 
     def test_two_sample_null_levels(self):
         cfg = two_sample_config(seed=90003, grid_points=1, replicates=500, K=19)
-        curve = run_two_sample_experiment(cfg)
+        curve = run_experiment(cfg)
         band = 3 * math.sqrt(0.05 * 0.95 / 500)
         assert abs(curve.series("permutation_K19")[0] - 0.05) <= band
         assert abs(curve.series("t_test")[0] - 0.05) <= band
@@ -295,7 +291,7 @@ class TestRunners:
     def test_lowrank_runner(self):
         cfg = lowrank_config(seed=90004, n=12, p=12, grid_points=3,
                              replicates=60, K=19)
-        curve = run_lowrank_experiment(cfg)
+        curve = run_experiment(cfg)
         assert curve.methods == ("rotation_K19",)
         # power rises from near-level to saturation across the grid
         series = curve.series("rotation_K19")
@@ -305,7 +301,7 @@ class TestRunners:
     def test_regression_runner_notes(self):
         cfg = regression_config(seed=90005, n=40, p=5, grid_points=2,
                                 replicates=40, K=19)
-        curve = run_regression_experiment(cfg)
+        curve = run_experiment(cfg)
         for key in (
             "margin_tau_top", "deterministic_margin_tau_top", "tau_top",
             "u_plus_design", "t_bound", "b_design", "r_design", "b_noise",
@@ -321,19 +317,23 @@ class TestRunners:
             < curve.notes["deterministic_margin_tau_top"]
         )
 
-    def test_runner_scenario_guard(self):
-        cfg = two_sample_config(seed=1, grid_points=1, replicates=5)
-        with pytest.raises(ValueError, match="runner expects"):
-            run_sparse_vector_experiment(cfg)
-
     def test_reruns_identical(self):
         cfg = two_sample_config(seed=90006, grid_points=3, replicates=60, K=19)
         a = run_experiment(cfg)
         b = run_experiment(cfg)
         assert a == b
 
-    def test_worker_count_invariance(self):
-        cfg = two_sample_config(seed=90007, grid_points=3, replicates=150, K=19)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_worker_count_invariance(self, scenario):
+        # over 200 units (two chunks or more), so that workers=2 starts a pool
+        kwargs = {
+            "sparse_vector": dict(replicates=100, ks=(19,)),
+            "heavy_tail": dict(replicates=100, ks=(19,), dfs=(3, 5)),
+            "two_sample": dict(replicates=150, K=19),
+            "lowrank": dict(replicates=100, n=8, p=8, K=19),
+            "regression": dict(replicates=100, n=40, p=5, K=19),
+        }[scenario]
+        cfg = experiments._CONFIG_FACTORIES[scenario](90007, grid_points=3, **kwargs)
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert serial == parallel

@@ -240,6 +240,19 @@ class TestBernoulliBoundDesign:
         out = bernoulli_bound_design(x, l=2.0, mc=500, rng=RngStream(81010))
         assert out.b_estimate == pytest.approx(expected, rel=1e-10)
 
+    def test_multi_column_matches_loop(self):
+        # b is the mean over draws of max_j sum_q |sum_k [X^+]_jk X_kq b_k|
+        x = RngStream(81013).generator().standard_normal((20, 4))
+        pinv = pseudo_inverse(x)
+        signs = RngStream(81014).generator().integers(0, 2, (300, 20)) * 2.0 - 1.0
+        expected = np.mean([
+            max(sum(abs(float(np.sum(pinv[j] * x[:, q] * b))) for q in range(4))
+                for j in range(4))
+            for b in signs
+        ])
+        out = bernoulli_bound_design(x, l=2.0, mc=300, rng=RngStream(81014))
+        assert out.b_estimate == pytest.approx(expected, rel=1e-12)
+
     def test_scale_invariance(self):
         # doubling X halves its pseudo-inverse, leaving the process unchanged
         gen = RngStream(81011).generator()
