@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -68,15 +69,18 @@ class RandTestOutcome:
 def order_index(K: int, alpha: float) -> int:
     """k = ceil((1 - alpha) * (K + 1)).
 
-    A tiny downward nudge protects values like alpha = 1/(K+1) whose product
-    lands an ulp above the integer it represents exactly; without it the
-    float ceil would overshoot to K + 2 - 1 and break the max-test identity.
+    The float product is nudged down by 4 eps (K + 1), a bound on its
+    rounding error, so that a float alpha = j/(K+1) whose product lands a few
+    ulps above the integer K+1-j still gives k = K+1-j (for j = 1 this is
+    the max-test identity).  Any alpha further below j/(K+1) gives
+    k = K+2-j, so the nominal level (K+1-k)/(K+1) never exceeds alpha by
+    more than that rounding.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    k = math.ceil((1.0 - alpha) * (K + 1) - 1e-9)
+    k = math.ceil((1.0 - alpha) * (K + 1) - 4.0 * sys.float_info.epsilon * (K + 1))
     return max(k, 1)
 
 

@@ -437,18 +437,6 @@ def _signflips(gen: np.random.Generator, K: int, n: int) -> np.ndarray:
     return gen.integers(0, 2, size=(K, n)) * 2.0 - 1.0
 
 
-def _unit_sphere(z: np.ndarray) -> np.ndarray:
-    """z scaled to unit length along axis 1 (zero vectors stay zero).
-
-    Gaussian vectors scaled this way are uniform on the sphere, so times a
-    radius they are the lazy image of a Haar rotation of a vector (or of each
-    column) with that norm.
-    """
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    z /= np.where(norms > 0.0, norms, 1.0)
-    return z
-
-
 def _sparse_setup(cfg: ScenarioConfig, parsed) -> tuple[float, dict]:
     """The deterministic threshold, and the noise spec of each df in sorted
     order: one Student t spec per df for heavy_tail, cfg.noise otherwise."""
@@ -476,8 +464,11 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
             vals = np.max(np.abs(_signflips(gen, meth.K, cfg.n) @ x), axis=1) / cfg.n
             yield decide(t0, vals, meth.k)
         else:  # rotation acts on rows, hence on the column-mean vector
-            z = _unit_sphere(gen.standard_normal((meth.K, cfg.p)))
-            yield decide(t0, np.max(np.abs(z), axis=1) * radius, meth.k)
+            # a Gaussian z over its norm is uniform on the sphere, so
+            # max|z| / |z| * radius is the lazy image's sup norm
+            z = gen.standard_normal((meth.K, cfg.p))
+            vals = np.max(np.abs(z), axis=1) / np.linalg.norm(z, axis=1) * radius
+            yield decide(t0, vals, meth.k)
 
 
 def _two_sample_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
@@ -510,9 +501,12 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
     t0 = float(np.linalg.svd(x, compute_uv=False)[0])
     col_norms = np.linalg.norm(x, axis=0)
     for meth, gen in methods:
-        # lazy per-column rotation: each column becomes a uniform point on
-        # the sphere of its own radius
-        z = _unit_sphere(gen.standard_normal((meth.K, cfg.n, cfg.p)))
+        # lazy per-column rotation: each Gaussian column, scaled to unit
+        # length (zero columns stay zero), becomes a uniform point on the
+        # sphere of its own radius
+        z = gen.standard_normal((meth.K, cfg.n, cfg.p))
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+        z /= np.where(norms > 0.0, norms, 1.0)
         z *= col_norms[None, None, :]
         vals = np.linalg.svd(z, compute_uv=False)[:, 0]
         yield decide(t0, vals, meth.k)

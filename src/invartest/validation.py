@@ -484,19 +484,23 @@ def _check_varl_lowrank_floor(stream: RngStream, budget: dict) -> CheckResult:
 
 
 def _check_varl_enumeration(stream: RngStream, budget: dict) -> CheckResult:
+    # brute force: the mean of exp(tau^2 <e, e'>^2 / (2 n)) over all 4^n
+    # sign-vector pairs, blocked so the n = 12 Gram matrix never materializes
+    taus = (0.4, 0.8, 0.9)
     worst = 0.0
-    tau = 0.8
     for n in range(1, budget["enum_max_n"] + 1):
-        s = all_sign_patterns(n)
-        total = 0.0
-        for block in np.array_split(s, max(1, s.shape[0] // 512)):
-            ips = block @ s.T
-            total += float(np.sum(np.exp(tau * tau * ips ** 2 / (2.0 * n))))
-        brute = total / float(s.shape[0]) ** 2
-        closed = varL_lowrank_exact(n, tau)
-        worst = max(worst, abs(brute - closed) / closed)
+        signs = all_sign_patterns(n)
+        totals = np.zeros(len(taus))
+        for lo in range(0, signs.shape[0], 512):
+            g2 = (signs[lo:lo + 512] @ signs.T) ** 2 / (2.0 * n)
+            totals += [np.sum(np.exp(tau * tau * g2)) for tau in taus]
+        for tau, total in zip(taus, totals):
+            closed = varL_lowrank_exact(n, tau)
+            brute = total / float(signs.shape[0]) ** 2
+            worst = max(worst, abs(brute - closed) / closed)
     return _result("varl_lowrank_enumeration", worst <= 1e-12,
-                   f"max relative gap {worst:.2e} for n <= {budget['enum_max_n']}")
+                   f"max relative gap {worst:.2e} (bound 1e-12) for "
+                   f"n <= {budget['enum_max_n']}, tau in {taus}")
 
 
 def _check_rate_calibration(stream: RngStream, budget: dict) -> CheckResult:
@@ -504,9 +508,9 @@ def _check_rate_calibration(stream: RngStream, budget: dict) -> CheckResult:
     for n, p in ((50, 100), (200, 1000), (1000, 10_000)):
         ratios.append(tau_star_sparse(n, p) / math.sqrt(math.log(p) / n))
     spread = max(ratios) / min(ratios)
-    return _result("rate_calibration", spread <= 1.25,
+    return _result("rate_calibration", spread < 1.25,
                    f"ratios {', '.join(f'{r:.5f}' for r in ratios)}; "
-                   f"max/min = {spread:.5f}")
+                   f"max/min = {spread:.5f} (bound 1.25)")
 
 
 def _check_bernoulli_se(stream: RngStream, budget: dict) -> CheckResult:
@@ -662,18 +666,12 @@ _REGISTRY = [
 ]
 
 
-def run_validation(level: str = "quick", seed: int = 20260815,
-                   include_cli: bool = True) -> list[CheckResult]:
+def run_validation(level: str = "quick", seed: int = 20260815) -> list[CheckResult]:
     """Run every registered check and return its result, in registry order."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {LEVELS}, got {level!r}")
     budget = _BUDGETS[level]
-    results = []
-    for idx, check in enumerate(_REGISTRY):
-        if check is _check_cli_contract and not include_cli:
-            continue
-        results.append(check(RngStream(seed, idx), budget))
-    return results
+    return [check(RngStream(seed, idx), budget) for idx, check in enumerate(_REGISTRY)]
 
 
 def format_ledger(results: list[CheckResult]) -> str:

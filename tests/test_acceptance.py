@@ -12,6 +12,10 @@ of the experiment pipeline across worker counts.
 The suite is heavier than the unit tests (several minutes of Monte Carlo).
 Run it alone with ``pytest tests/test_acceptance.py -v``; each test prints
 its measured quantities next to the tolerance it enforces.
+
+Criteria 06-09 run the ``validate`` checks of ``invartest.validation`` at
+the full budget, so ``invartest validate --full`` and this suite assert the
+same invariants through one implementation.
 """
 
 import math
@@ -21,12 +25,7 @@ import numpy as np
 from numpy.testing import assert_allclose
 from scipy import stats as spstats
 
-from invartest.engine import (
-    all_sign_patterns,
-    brute_force_full_group_test,
-    count_below,
-    order_index,
-)
+from invartest.engine import all_sign_patterns, brute_force_full_group_test, order_index
 from invartest.experiments import (
     ScenarioConfig,
     heavy_tail_config,
@@ -35,21 +34,31 @@ from invartest.experiments import (
     sparse_vector_config,
     two_sample_config,
 )
-from invartest.groups import apply_action, sample_haar_orthogonal, sample_sphere_image
-from invartest.noise import NoiseSpec, sample_noise
+from invartest.groups import sample_haar_orthogonal
+from invartest.noise import NoiseSpec
 from invartest.numerics import RngStream, operator_norm, pseudo_inverse
-from invartest.statistics import (
-    TestStatistic,
-    check_psi_subadditive,
-    shipped_statistics,
+from invartest.statistics import TestStatistic
+from invartest.theory import chi2_shift_gaussian, varL_sparse
+from invartest.validation import (
+    _BUDGETS,
+    KS_ALPHA,
+    _check_exchangeability,
+    _check_haar_invariance,
+    _check_lazy_eager,
+    _check_rate_calibration,
+    _check_subadditivity,
+    _check_varl_enumeration,
 )
-from invartest.theory import (
-    chi2_shift_gaussian,
-    tau_star_sparse,
-    varL_lowrank_exact,
-    varL_sparse,
-)
-from invartest.validation import scenario_catalog
+
+_FULL = _BUDGETS["full"]
+
+
+def _assert_check(check, stream: RngStream) -> None:
+    """Run one ``validate`` check at the full budget, print its measurements
+    and assert that it passed."""
+    result = check(stream, _FULL)
+    print(f"{result.name}: {result.detail}")
+    assert result.passed, result.detail
 
 
 def test_criterion_01_exact_level_enumerated_signflip():
@@ -246,27 +255,7 @@ def test_criterion_06_detection_threshold_rate_calibration():
     tau* / sqrt(log p / n) varies by less than 25% across an 80-fold range
     of n and a 100-fold range of p.
     """
-    ratios = []
-    for n, p in ((50, 100), (200, 1000), (1000, 10000)):
-        tau = tau_star_sparse(n, p)
-        ratio = tau / math.sqrt(math.log(p) / n)
-        print(f"n={n}, p={p}: tau*={tau:.5f}, ratio {ratio:.4f}")
-        ratios.append(ratio)
-    spread = max(ratios) / min(ratios)
-    print(f"ratio spread {spread:.4f} (bound 1.25)")
-    assert spread < 1.25
-
-
-def _varL_lowrank_by_enumeration(n: int, tau: float) -> float:
-    # mean of exp(tau^2 <e, e'>^2 / (2 n)) over all 4^n sign-vector pairs,
-    # blocked so the n = 12 Gram matrix never materializes whole
-    signs = all_sign_patterns(n)
-    t2 = tau * tau
-    total = 0.0
-    for lo in range(0, signs.shape[0], 512):
-        gram = signs[lo:lo + 512] @ signs.T
-        total += float(np.sum(np.exp(t2 * gram * gram / (2.0 * n))))
-    return total / float(signs.shape[0]) ** 2
+    _assert_check(_check_rate_calibration, RngStream(20260601))
 
 
 def test_criterion_07_oracle_equivalences():
@@ -277,13 +266,7 @@ def test_criterion_07_oracle_equivalences():
     matches the full SVD to 1e-9; pseudo_inverse satisfies all four
     Moore-Penrose identities to 1e-9.
     """
-    for n in range(1, 13):
-        for tau in (0.4, 0.9):
-            exact = varL_lowrank_exact(n, tau)
-            enum = _varL_lowrank_by_enumeration(n, tau)
-            assert_allclose(enum, exact, rtol=1e-12, atol=0.0,
-                            err_msg=f"n={n}, tau={tau}")
-    print("binomial sum vs 4^n enumeration: agree to 1e-12 for n = 1..12")
+    _assert_check(_check_varl_enumeration, RngStream(20260707, 0))
 
     n, p, tau = 5, 4, 0.5
     closed = varL_sparse(n, p, chi2_shift_gaussian(tau))
@@ -331,53 +314,18 @@ def test_criterion_08_distributional_properties():
     K = 9 randomized copies is uniform over 10000 replicates for each
     shipped (group, statistic, noise) pairing.
     """
-    draws = 20000
-
-    gen = RngStream(20260801, 0).generator()
-    q = sample_haar_orthogonal(5, gen).payload
-    t_plain = np.empty(draws)
-    t_mult = np.empty(draws)
-    for i in range(draws):
-        t_plain[i] = np.trace(sample_haar_orthogonal(5, gen).payload)
-        t_mult[i] = np.trace(q @ sample_haar_orthogonal(5, gen).payload)
-    p_inv = spstats.ks_2samp(t_plain, t_mult).pvalue
-    print(f"Haar trace invariance KS p-value {p_inv:.4f}")
-    assert p_inv > 0.01
+    _assert_check(_check_haar_invariance, RngStream(20260801, 0))
 
     # the leading entry of a Haar matrix in dimension 3 is uniform on [-1, 1]
     gen = RngStream(20260801, 1).generator()
     lead = np.array([sample_haar_orthogonal(3, gen).payload[0, 0]
-                     for _ in range(draws)])
+                     for _ in range(_FULL["ks_draws"])])
     p_lead = spstats.kstest(lead, spstats.uniform(loc=-1.0, scale=2.0).cdf).pvalue
     print(f"Haar leading-entry KS p-value {p_lead:.4f}")
-    assert p_lead > 0.01
+    assert p_lead > KS_ALPHA
 
-    p = 6
-    x = RngStream(20260801, 2).generator().standard_normal(p)
-    gen = RngStream(20260801, 3).generator()
-    lazy = np.array([np.max(np.abs(sample_sphere_image(x, gen)))
-                     for _ in range(draws)])
-    eager = np.array([np.max(np.abs(apply_action(sample_haar_orthogonal(p, gen), x)))
-                      for _ in range(draws)])
-    p_lazy = spstats.ks_2samp(lazy, eager).pvalue
-    print(f"sphere image vs eager rotation KS p-value {p_lazy:.4f}")
-    assert p_lazy > 0.01
-
-    K, reps = 9, 10000
-    crit = float(spstats.chi2.ppf(0.99, df=K))
-    stream = RngStream(20260801, 4)
-    for idx, entry in enumerate(scenario_catalog()):
-        gen = stream.child(idx).generator()
-        cells = np.zeros(K + 1, dtype=np.int64)
-        for _ in range(reps):
-            x = sample_noise(entry.noise, gen)
-            t0 = entry.statistic(x)
-            vals = np.array([entry.statistic(entry.action.randomize(x, gen))
-                             for _ in range(K)])
-            cells[count_below(t0, vals)] += 1
-        chi2 = float(np.sum((cells - reps / (K + 1)) ** 2 / (reps / (K + 1))))
-        print(f"{entry.name}: rank chi-squared {chi2:.2f} (crit {crit:.2f})")
-        assert chi2 <= crit, f"{entry.name} rank distribution non-uniform"
+    _assert_check(_check_lazy_eager, RngStream(20260801, 2))
+    _assert_check(_check_exchangeability, RngStream(20260801, 4))
 
 
 def test_criterion_09_subadditivity_suite():
@@ -385,25 +333,7 @@ def test_criterion_09_subadditivity_suite():
     10^4 random Gaussian pairs at scales 0.1, 1, and 10 with zero violations,
     while the squared norm mislabeled with psi = 1 fails the same check.
     """
-    stream = RngStream(20260901)
-    idx = 0
-    for stat in shipped_statistics():
-        for scale in (0.1, 1.0, 10.0):
-            violations = check_psi_subadditive(stat, 10000, scale, stream.child(idx))
-            idx += 1
-            assert violations == 0, (
-                f"{stat.name} (psi={stat.psi}) at scale {scale}: "
-                f"{violations} violations"
-            )
-    print("all shipped statistics: 0 violations at every scale")
-
-    sqnorm = TestStatistic(
-        name="sqnorm_psi1", psi=1.0,
-        fn=lambda m: float(np.sum(m * m)), sample_shape=(6, 4),
-    )
-    violations = check_psi_subadditive(sqnorm, 10000, 1.0, stream.child(idx))
-    print(f"squared-norm control with psi=1: {violations} violations")
-    assert violations > 0
+    _assert_check(_check_subadditivity, RngStream(20260901))
 
 
 def test_criterion_10_worker_determinism():

@@ -1,6 +1,10 @@
 """Unit tests for the randomization test engine: decision rule, p-values,
 full-group oracle, and nuisance projection."""
 
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +33,10 @@ class TestOrderIndex:
         assert order_index(19, 0.05) == 19
         assert order_index(99, 0.05) == 95
         assert order_index(1, 0.5) == 1
+        # an alpha a hair under j/(K+1) must not get the level j/(K+1)
+        assert order_index(19, 0.05 - 1e-11) == 20
+        assert order_index(99, 0.05 - 1e-12) == 96
+        assert order_index(1023, 51 / 1024 - 1e-13) == 974
 
     def test_max_test_alpha(self):
         # alpha = 1/(K+1) must give k = K, not K + 1
@@ -286,6 +294,25 @@ class TestDecisionProperties:
         vals = np.concatenate([-1.0 - np.arange(below), 1.0 + np.arange(K - below)])
         assert decide(0.0, vals, order_index(K, alpha)) == (
             p_value_from_counts(0.0, vals) <= alpha)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(K=st.integers(1, 10**6), data=st.data())
+    def test_level_never_exceeds_alpha(self, K, data):
+        eps = sys.float_info.epsilon
+        grid = data.draw(st.integers(1, K), label="j") / (K + 1)
+        alpha = data.draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.integers(-8, 8).map(lambda u: grid + u * math.ulp(grid)),
+            st.floats(0.0, 1e-9).map(lambda d: grid - d / (K + 1)),
+        ).filter(lambda a: 0.0 < a < 1.0), label="alpha")
+        level = Fraction(K + 1 - order_index(K, alpha), K + 1)
+        excess = level - Fraction(alpha)
+        # a float j/(K+1) still counts as the grid point: the 4 eps nudge plus
+        # at most 1.25 eps of rounding in (1 - alpha)(K + 1)
+        assert excess <= 6 * eps
+        scaled = Fraction(alpha) * (K + 1)
+        if abs(scaled - round(scaled)) > 6 * eps * (K + 1):
+            assert excess <= 0
 
     @settings(derandomize=True)
     @given(K=st.integers(1, 10**6))

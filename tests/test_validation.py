@@ -29,15 +29,6 @@ class TestRunValidation:
         assert all(r.passed for r in results), format_ledger(results)
         assert elapsed < 120.0
 
-    def test_include_cli_flag(self, monkeypatch):
-        monkeypatch.setattr(validation, "_REGISTRY",
-                            [validation._check_rngstream,
-                             validation._check_cli_contract])
-        with_cli = [r.name for r in run_validation()]
-        without = [r.name for r in run_validation(include_cli=False)]
-        assert with_cli == ["rngstream_determinism", "cli_contract"]
-        assert without == ["rngstream_determinism"]
-
     def test_unknown_level(self):
         with pytest.raises(ValueError, match="level must be one of"):
             run_validation(level="exhaustive")
@@ -79,12 +70,35 @@ class TestMutationSensitivity:
             assert abs(freq - 0.1) <= band, result.detail
 
 
+@pytest.fixture
+def levels(monkeypatch):
+    """Stub run_validation with a green one-check ledger and record the
+    level each call asks for; the real ledger runs in TestRunValidation."""
+    asked = []
+
+    def fake(level):
+        asked.append(level)
+        return [CheckResult("stub", True, f"ran at {level}")]
+
+    monkeypatch.setattr(validation, "run_validation", fake)
+    return asked
+
+
 class TestCliValidate:
-    def test_quick_run_exits_zero(self, capsys):
+    def test_quick_run_exits_zero(self, capsys, levels):
         assert cli.main(["validate", "--quick"]) == 0
+        assert cli.main(["validate"]) == 0
+        assert levels == ["quick", "quick"]
         out = capsys.readouterr().out
-        assert "27/27 checks passed" in out
-        assert "FAIL" not in out
+        assert "PASS  stub: ran at quick" in out
+        assert "1/1 checks passed" in out
+
+    def test_full_flag_selects_full_level(self, capsys, levels):
+        assert cli.main(["validate", "--full"]) == 0
+        assert levels == ["full"]
+        out = capsys.readouterr().out
+        assert "PASS  stub: ran at full" in out
+        assert "1/1 checks passed" in out
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(validation, "run_validation",
