@@ -27,6 +27,7 @@ __all__ = [
     "order_index",
     "count_below",
     "decide",
+    "decide_stopping",
     "p_value_from_counts",
     "run_randomization_test",
     "run_max_test",
@@ -95,6 +96,29 @@ def decide(t0: float, randomized: np.ndarray, k: int) -> bool:
     never below t0, so the count over the randomized values suffices.
     """
     return count_below(t0, randomized) >= k
+
+
+def decide_stopping(t0: float, orbit, K: int, k: int) -> bool:
+    """``decide`` over K orbit values that stops drawing once the outcome is
+    fixed.
+
+    ``orbit(b)`` returns the next b orbit values. They are drawn in blocks of
+    1, 2, 4, ... rows, capped at the rows left, until k values lie strictly
+    below t0 (reject) or more than K - k do not (accept). The result equals
+    ``decide(t0, values, k)`` on all K values; when the blocks are prefixes
+    of one draw of all K, the values drawn are a prefix of those K values.
+    """
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    drawn = below = 0
+    block = 1
+    while True:
+        b = min(block, K - drawn)
+        below += count_below(t0, orbit(b))
+        drawn += b
+        if below >= k or drawn - below > K - k:
+            return below >= k
+        block *= 2
 
 
 def p_value_from_counts(t0: float, randomized: np.ndarray) -> float:

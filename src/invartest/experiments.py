@@ -9,8 +9,11 @@ function under one unit loop.
 
 Determinism contract: every (grid point, replicate) unit owns the stream
 RngStream(seed, g * replicates + r); the noise draw uses child(0) and method
-i uses child(1 + i).  Rejections are summed as integers over fixed-size unit
-chunks, so the worker count never changes the output.
+i uses child(1 + i).  No unit reads another unit's stream, and rejections
+are summed as integers, so any chunking of the units, and hence any worker
+count, gives the same output.  A lowrank method stops drawing once its
+decision is settled and reads only a prefix of its own child(1 + i); the
+values it does read are those of the full draw, so the output is unchanged.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .engine import decide, order_index
+from .engine import decide, decide_stopping, order_index
 from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_quantile, pseudo_inverse, student_t_quantile
 from .theory import (
@@ -55,8 +58,8 @@ SCENARIOS = ("sparse_vector", "heavy_tail", "two_sample", "lowrank", "regression
 
 CSV_HEADER = "scenario,method,signal,reps,rejections,power,se,seed"
 
-# units per work item; fixed so that chunk boundaries (and hence the integer
-# sums) do not depend on the worker count
+# units per work item; each unit owns its stream and the counts are integer
+# sums, so the chunk size does not change the output
 _CHUNK = 200
 
 _METHOD_RE = re.compile(r"^(signflip|rotation|permutation)_K(\d+)(?:_t(\d+))?$")
@@ -501,15 +504,18 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
     t0 = float(np.linalg.svd(x, compute_uv=False)[0])
     col_norms = np.linalg.norm(x, axis=0)
     for meth, gen in methods:
-        # lazy per-column rotation: each Gaussian column, scaled to unit
-        # length (zero columns stay zero), becomes a uniform point on the
-        # sphere of its own radius
-        z = gen.standard_normal((meth.K, cfg.n, cfg.p))
-        norms = np.linalg.norm(z, axis=1, keepdims=True)
-        z /= np.where(norms > 0.0, norms, 1.0)
-        z *= col_norms[None, None, :]
-        vals = np.linalg.svd(z, compute_uv=False)[:, 0]
-        yield decide(t0, vals, meth.k)
+        def orbit(b):
+            # lazy per-column rotation: each Gaussian column, scaled to unit
+            # length (zero columns stay zero), becomes a uniform point on the
+            # sphere of its own radius. Row blocks of standard_normal are
+            # prefixes of one (K, n, p) draw, so stopping early leaves every
+            # drawn value as it was.
+            z = gen.standard_normal((b, cfg.n, cfg.p))
+            norms = np.linalg.norm(z, axis=1, keepdims=True)
+            z /= np.where(norms > 0.0, norms, 1.0)
+            z *= col_norms[None, None, :]
+            return np.linalg.svd(z, compute_uv=False)[:, 0]
+        yield decide_stopping(t0, orbit, meth.K, meth.k)
 
 
 def regression_design(cfg: ScenarioConfig) -> np.ndarray:

@@ -119,9 +119,6 @@ class GroupAction:
             return out
         return apply_action(self.sample(gen), x)
 
-    def identity(self) -> GroupElement:
-        return identity_element(self.kind, self.n, self.p)
-
 
 def sample_signflips(n: int, rng: RngStream | np.random.Generator) -> GroupElement:
     """n independent uniform +-1 signs (one per row)."""

@@ -17,6 +17,7 @@ from invartest.engine import (
     brute_force_full_group_test,
     count_below,
     decide,
+    decide_stopping,
     order_index,
     p_value_from_counts,
     project_out_nuisance,
@@ -68,6 +69,21 @@ class TestDecisionPrimitives:
         randomized = np.array([5.0, 1.0, 1.0])
         assert decide(5.0, randomized, k=3) is False
         assert decide(5.0, randomized, k=2) is True
+
+    def test_decide_stopping_k_above_K(self):
+        # k > K can never reject, which the first value already shows
+        sizes = []
+
+        def orbit(b):
+            sizes.append(b)
+            return np.full(b, -1.0)
+
+        assert decide_stopping(0.0, orbit, K=9, k=12) is False
+        assert sizes == [1]
+
+    def test_decide_stopping_needs_K(self):
+        with pytest.raises(ValueError, match="K"):
+            decide_stopping(0.0, lambda b: np.zeros(b), K=0, k=1)
 
     def test_p_value_counts_ties(self):
         randomized = np.array([5.0, 1.0, 1.0])
@@ -280,8 +296,44 @@ class TestProjectOutNuisance:
             project_out_nuisance(np.ones((4, 2)), [np.ones(5)])
 
 
+def _draws_needed(t0: float, randomized: np.ndarray, k: int) -> int:
+    """Draws after which the k-of-K+1 decision is settled: k values below
+    t0, or more than K - k at or above it (NaN counts as not below)."""
+    K = randomized.size
+    below = np.cumsum(randomized < t0)
+    above = np.arange(1, K + 1) - below
+    settled = np.nonzero((below >= k) | (above > K - k))[0]
+    return int(settled[0]) + 1 if settled.size else K
+
+
 # derandomized, so that every run of the suite checks the same examples
 class TestDecisionProperties:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(K=st.integers(1, 500), data=st.data())
+    def test_decide_stopping_matches_decide(self, K, data):
+        k = data.draw(st.integers(1, K + 1), label="k")
+        below_share = data.draw(st.floats(0.0, 1.0), label="below_share")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        t0 = 0.5
+        # values strictly below t0; the rest tie with it, are NaN or lie above
+        u = gen.random(K)
+        rest = np.array([t0, np.nan, t0 + 1.0])[gen.integers(0, 3, K)]
+        vals = np.where(u < below_share, t0 - 1.0 - u, rest)
+        sizes = []
+
+        def orbit(b):
+            drawn = sum(sizes)
+            assert 1 <= b <= K - drawn
+            sizes.append(b)
+            return vals[drawn:drawn + b]
+
+        assert decide_stopping(t0, orbit, K, k) == decide(t0, vals, k)
+        # blocks of 1, 2, 4, ... rows, the last capped at the rows left
+        assert sizes == [min(2**i, K + 1 - 2**i) for i in range(len(sizes))]
+        needed = _draws_needed(t0, vals, k)
+        assert sum(sizes) == min(K, next(2**j - 1 for j in range(1, 11)
+                                         if 2**j - 1 >= needed))
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(K=st.integers(1, 2000), data=st.data())
     def test_decide_matches_p_value_without_ties(self, K, data):

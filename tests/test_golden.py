@@ -26,6 +26,11 @@ GOLDEN_CONFIGS = {
         exp.two_sample_config(3103, replicates=200), grid=(0.0, 0.5, 1.0, 1.5)),
     "lowrank": lambda: replace(
         exp.lowrank_config(3104, replicates=40), grid=(0.0, 1.0, 2.0, 3.0)),
+    # k = 90 of K = 99 at alpha 0.1, so an accept needs ten values at or
+    # above t0 and the orbit stops after several blocks, not after one value
+    "lowrank_K99": lambda: replace(
+        exp.lowrank_config(3108, n=12, p=12, replicates=40, alpha=0.1, K=99),
+        grid=(0.0, 1.0, 2.0, 3.0)),
     "regression": lambda: replace(
         exp.regression_config(3105, replicates=100), grid=(0.0, 0.5, 1.0, 1.5)),
 }
@@ -36,6 +41,7 @@ GOLDEN_SHA256 = {
     "heavy_tail": "1a576dc2963210e1c3c21a07e528534ce9b3779f91913cc929b325976e5f1419",
     "two_sample": "d6e09dc9b61ad28a40eb70801e9dd61e194c358896dcee41ba85d64c058c3dbd",
     "lowrank": "a0705e64325f79986c524422d37e0134161e4be7196509bc115a7d603b5cdbc6",
+    "lowrank_K99": "2b258460c4b0c919e83ecb58044fc30ef26117b0631e0af31225034bc73bf287",
     "regression": "e9cb35b5098234f7e51b23d3538c731fc47bcb3c6e805982b09c8698f618966b",
 }
 
