@@ -37,6 +37,7 @@ __all__ = [
 
 MAX_SIGNFLIP_ROWS = 16   # 2^16 orbit points
 MAX_PERMUTE_ROWS = 7     # 7! = 5040 <= 4e4; 8! would exceed it
+_BLOCK_VALUES = 2 ** 16  # images are drawn in blocks of at most this many values
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,9 @@ def run_randomization_test(
 ) -> RandTestOutcome:
     """Sample K iid group elements, compare f(X) against the randomized orbit.
 
+    The K images are drawn and evaluated in row blocks of at most
+    ``_BLOCK_VALUES`` values, which bounds memory. Each block is a prefix of
+    the rest of the stream, so the values do not depend on the block size.
     The identity enters the multiset exactly once, as the observed value
     itself. The reported p-value uses the >= convention, so reject and
     p_value <= alpha coincide only in the absence of ties. A test with
@@ -148,9 +152,12 @@ def run_randomization_test(
     """
     gen = as_generator(rng)
     t0 = f(x)
-    randomized = np.empty(cfg.K)
-    for i in range(cfg.K):
-        randomized[i] = f(action.randomize(x, gen))
+    arr = np.asarray(x, dtype=float)
+    rows = max(1, _BLOCK_VALUES // max(arr.size, 1))
+    randomized = np.concatenate([
+        f.values(action.randomize_batch(arr, min(rows, cfg.K - i), gen))
+        for i in range(0, cfg.K, rows)
+    ])
     k = cfg.K if cfg.variant == "max" else order_index(cfg.K, cfg.alpha)
     if k > cfg.K:
         warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "

@@ -11,7 +11,8 @@ Four kinds are supported, matching the scenarios in scope:
 Continuous elements are sampled eagerly only when a statistic needs the
 actual matrix; wherever the data is a single vector (or an independent
 column), the distributional identity O x =_d Z/||Z|| * ||x|| replaces the
-O(p^3) sample with an O(p) one.
+O(p^3) sample with an O(p) one, and a rotate_full on an n x p matrix with
+1 < n < p draws an n-frame of R^p instead of a p x p rotation.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class GroupAction:
 
         rotate_per_column materializes its p rotation matrices eagerly here,
         which is only sensible for validation at small sizes; the fast path
-        is :meth:`randomize`.
+        is :meth:`randomize_batch`.
         """
         gen = as_generator(rng)
         if self.kind == "signflip_rows":
@@ -96,28 +97,117 @@ class GroupAction:
     def randomize(
         self, x: np.ndarray, rng: RngStream | np.random.Generator
     ) -> np.ndarray:
-        """Draw a random element and return its image of ``x``.
+        """Draw a random element and return its image of ``x``: the first
+        image of :meth:`randomize_batch` with K = 1."""
+        return self.randomize_batch(x, 1, rng)[0]
 
-        Equal in distribution to ``apply_action(self.sample(rng), x)`` but
-        uses the sphere-image shortcut where it is exact: a rotate_full on a
-        single vector, and every column of a rotate_per_column.
+    def randomize_batch(
+        self, x, K: int, rng: RngStream | np.random.Generator
+    ) -> np.ndarray:
+        """Draw K iid elements and return their images of ``x``, stacked
+        along a new leading axis: shape (K, *x.shape).
+
+        Equal in distribution to K calls of ``apply_action(self.sample(rng),
+        x)``. The stream is read image by image, so drawing a images and
+        then b gives the images of one draw of a + b. Shortcuts are used
+        where they are exact in law: a rotate_full on a single vector (or a
+        one-row matrix) and every column of a rotate_per_column map to
+        uniform points on spheres, ``z * (||x|| / ||z||)``; a rotate_full on
+        an n x p matrix with 1 < n < p draws a uniform point S on the
+        Stiefel manifold V(p, n) instead of a p x p Haar matrix O. With
+        X^T = Q R, X O^T = R^T (O Q)^T and O Q is uniform on V(p, n), so the
+        image R^T S^T has the law of X O^T, rank-deficient X included.
         """
         gen = as_generator(rng)
-        if self.kind == "rotate_full":
-            arr = np.asarray(x, dtype=float)
-            if arr.ndim == 1:
-                return sample_sphere_image(arr, gen)
-            if arr.shape[0] == 1:
-                return sample_sphere_image(arr[0], gen)[None, :]
-            o = sample_haar_orthogonal(arr.shape[1], gen).payload
-            return arr @ o.T
+        arr = np.asarray(x, dtype=float)
+        if self.kind in ("signflip_rows", "permute_rows"):
+            _check_acts_on(self.kind, self.n, arr)
+            if self.kind == "permute_rows":
+                return arr[gen.permuted(np.tile(np.arange(self.n), (K, 1)), axis=1)]
+            signs = (gen.integers(0, 2, size=(K, self.n)) * 2 - 1).astype(float)
+            return signs * arr if arr.ndim == 1 else signs[:, :, None] * arr
         if self.kind == "rotate_per_column":
-            arr = np.atleast_2d(np.asarray(x, dtype=float))
-            out = np.empty_like(arr)
-            for j in range(arr.shape[1]):
-                out[:, j] = sample_sphere_image(arr[:, j], gen)
-            return out
-        return apply_action(self.sample(gen), x)
+            _check_acts_on(self.kind, self.n, arr, self.p or 1)
+            return _column_sphere_images(arr, K, gen)
+        _check_acts_on(self.kind, self.p, arr)
+        if arr.ndim == 1:
+            return _sphere_images(arr, K, gen)
+        n, p = arr.shape
+        if n == 1:
+            return _sphere_images(arr[0], K, gen)[:, None, :]
+        if n >= p:
+            return arr @ _orthonormal_frames((K, p, p), gen).mT
+        r = np.linalg.qr(arr.T, mode="r")
+        return r.T @ _orthonormal_frames((K, p, n), gen).mT
+
+
+def _check_acts_on(kind: str, size: int, arr: np.ndarray, columns: int = 1) -> None:
+    """Raise the "cannot act" ValueError unless an element of ``kind`` on
+    R^size (``columns`` column rotations for rotate_per_column) acts on
+    ``arr``."""
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"group elements act on a vector or a matrix, got ndim={arr.ndim}")
+    if kind == "signflip_rows" and arr.shape[0] != size:
+        raise ValueError(f"signflip of size {size} cannot act on {arr.shape[0]} rows")
+    if kind == "permute_rows" and arr.shape[0] != size:
+        raise ValueError(f"permutation of size {size} cannot act on {arr.shape[0]} rows")
+    if kind == "rotate_full" and arr.shape[-1] != size:
+        what = f"length {arr.shape[0]}" if arr.ndim == 1 else f"{arr.shape[1]} columns"
+        raise ValueError(f"rotation of size {size} cannot act on {what}")
+    if kind == "rotate_per_column":
+        have = 1 if arr.ndim == 1 else arr.shape[1]
+        if have != columns:
+            raise ValueError(f"{columns} column rotations cannot act on {have} columns")
+        if arr.shape[0] != size:
+            raise ValueError("column rotation size does not match row count")
+
+
+def _gaussian_rows(shape: tuple[int, ...], gen: np.random.Generator):
+    """A standard normal draw and the norms of its last-axis rows. A draw
+    with a row of norm 0 (probability zero) is redrawn whole."""
+    while True:
+        z = gen.standard_normal(shape)
+        norms = np.sqrt(np.vecdot(z, z))  # bitwise the 1-d np.linalg.norm
+        if np.all(norms > 0.0):
+            return z, norms
+
+
+def _sphere_images(x: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
+    """K uniform points on the sphere of radius ||x||_2, as a (K, x.size)
+    array; a zero x maps to zeros and draws nothing."""
+    radius = float(np.linalg.norm(x))
+    if radius == 0.0:
+        return np.zeros((K, x.size))
+    z, norms = _gaussian_rows((K, x.size), gen)
+    return z * (radius / norms)[:, None]
+
+
+def _column_sphere_images(arr: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
+    """K images of ``arr`` under independent rotations of each column, each
+    column mapped to a uniform point on its sphere. A vector is one column.
+    Zero columns stay zero and draw nothing; the others draw their normals
+    image by image, column by column."""
+    cols = arr[:, None] if arr.ndim == 1 else arr
+    contiguous = np.ascontiguousarray(cols.T)  # strided rows sum in another order
+    radii = np.sqrt(np.vecdot(contiguous, contiguous))
+    live = radii > 0.0
+    out = np.zeros((K, *cols.shape))
+    if live.any():
+        z, norms = _gaussian_rows((K, int(live.sum()), cols.shape[0]), gen)
+        out[:, :, live] = (z * (radii[live] / norms)[..., None]).transpose(0, 2, 1)
+    return out.reshape(K, *arr.shape)
+
+
+def _orthonormal_frames(shape: tuple[int, int, int], gen: np.random.Generator) -> np.ndarray:
+    """Q factors of the sign-fixed QR of a standard normal (K, m, n) draw:
+    K Haar orthogonal matrices when m == n, else K uniform points on the
+    Stiefel manifold V(m, n). A draw with a degenerate matrix (probability
+    zero) is redrawn whole."""
+    while True:
+        try:
+            return qr_orthonormalize(gen.standard_normal(shape))[0]
+        except ValueError:
+            continue
 
 
 def sample_signflips(n: int, rng: RngStream | np.random.Generator) -> GroupElement:
@@ -146,14 +236,7 @@ def sample_haar_orthogonal(p: int, rng: RngStream | np.random.Generator) -> Grou
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    gen = as_generator(rng)
-    while True:
-        g = gen.standard_normal((p, p))
-        try:
-            q, _ = qr_orthonormalize(g)
-        except ValueError:
-            continue  # measure-zero degenerate draw, try again
-        return GroupElement("rotate_full", q)
+    return GroupElement("rotate_full", _orthonormal_frames((1, p, p), as_generator(rng))[0])
 
 
 def sample_sphere_image(x, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -164,64 +247,38 @@ def sample_sphere_image(x, rng: RngStream | np.random.Generator) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("sample_sphere_image expects a vector")
-    radius = float(np.linalg.norm(x))
-    if radius == 0.0:
-        return np.zeros_like(x)
-    gen = as_generator(rng)
-    while True:
-        z = gen.standard_normal(x.size)
-        norm = float(np.linalg.norm(z))
-        if norm > 0.0:
-            return z * (radius / norm)
+    return _sphere_images(x, 1, as_generator(rng))[0]
 
 
 def apply_action(g: GroupElement, x) -> np.ndarray:
     """Apply a group element to a data matrix or vector.
 
     Vectors keep their 1d shape. The discrete kinds and rotate_per_column
-    act on rows/columns of length n; rotate_full acts on a p-vector or on
-    each row of an n x p matrix.
+    act on rows/columns of length n (a vector is one column); rotate_full
+    acts on a p-vector or on each row of an n x p matrix.
     """
     arr = np.asarray(x, dtype=float)
     if g.kind == "signflip_rows":
         signs = g.payload
-        if arr.shape[0] != signs.shape[0]:
-            raise ValueError(
-                f"signflip of size {signs.shape[0]} cannot act on {arr.shape[0]} rows"
-            )
+        _check_acts_on(g.kind, signs.shape[0], arr)
         return signs * arr if arr.ndim == 1 else signs[:, None] * arr
     if g.kind == "permute_rows":
         perm = g.payload
-        if arr.shape[0] != perm.shape[0]:
-            raise ValueError(
-                f"permutation of size {perm.shape[0]} cannot act on {arr.shape[0]} rows"
-            )
+        _check_acts_on(g.kind, perm.shape[0], arr)
         return arr[perm]
     if g.kind == "rotate_full":
         o = g.payload
-        if arr.ndim == 1:
-            if arr.shape[0] != o.shape[0]:
-                raise ValueError(
-                    f"rotation of size {o.shape[0]} cannot act on length {arr.shape[0]}"
-                )
-            return o @ arr
-        if arr.shape[1] != o.shape[0]:
-            raise ValueError(
-                f"rotation of size {o.shape[0]} cannot act on {arr.shape[1]} columns"
-            )
-        return arr @ o.T
+        _check_acts_on(g.kind, o.shape[0], arr)
+        return o @ arr if arr.ndim == 1 else arr @ o.T
     mats = g.payload
-    arr2 = np.atleast_2d(arr)
-    if arr2.shape[1] != len(mats):
-        raise ValueError(
-            f"{len(mats)} column rotations cannot act on {arr2.shape[1]} columns"
-        )
-    if any(m.shape[0] != arr2.shape[0] for m in mats):
+    _check_acts_on(g.kind, arr.shape[0], arr, len(mats))
+    if any(m.shape[0] != arr.shape[0] for m in mats):
         raise ValueError("column rotation size does not match row count")
-    out = np.empty_like(arr2)
+    cols = arr[:, None] if arr.ndim == 1 else arr
+    out = np.empty_like(cols)
     for j, m in enumerate(mats):
-        out[:, j] = m @ arr2[:, j]
-    return out
+        out[:, j] = m @ cols[:, j]
+    return out.reshape(arr.shape)
 
 
 def compose(g: GroupElement, h: GroupElement) -> GroupElement:

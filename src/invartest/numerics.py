@@ -91,26 +91,29 @@ def as_vector(x, name: str = "x") -> np.ndarray:
 
 
 def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factorization of a square matrix with the R diagonal forced positive.
+    """Reduced QR factorization with the R diagonal forced positive, of a
+    square or tall matrix or of a stack of them (leading axes).
 
     The sign correction makes the factorization unique and is what turns a
-    Gaussian matrix into a Haar-distributed orthogonal factor downstream.
+    Gaussian matrix into a Haar-distributed orthogonal factor downstream
+    (for a tall p x n Gaussian, a uniform point on the Stiefel manifold).
+    A stack is factored matrix by matrix, bitwise as one call per matrix.
 
-    Raises ValueError on (numerically) rank-deficient input.
+    Raises ValueError if any matrix is (numerically) rank-deficient.
     """
-    a = as_matrix(a, "A")
-    n, p = a.shape
-    if n != p:
-        raise ValueError(f"A must be square, got {n}x{p}")
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 3:
+        a = as_matrix(a, "A")
+    rows, cols = a.shape[-2:]
+    if rows < cols:
+        raise ValueError(f"A must be square or tall, got {rows}x{cols}")
     q, r = np.linalg.qr(a)
-    diag = np.diagonal(r).copy()
-    scale = np.linalg.norm(a)
-    if np.any(np.abs(diag) < 1e-12 * scale) or scale == 0.0:
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    if np.any(np.abs(diag) < 1e-12 * scale[..., None]) or np.any(scale == 0.0):
         raise ValueError("degenerate QR input")
     signs = np.sign(diag)
-    q = q * signs[None, :]
-    r = r * signs[:, None]
-    return q, r
+    return q * signs[..., None, :], r * signs[..., :, None]
 
 
 def operator_norm(a) -> float:

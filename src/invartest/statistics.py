@@ -13,14 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (
-    RngStream,
-    as_generator,
-    as_matrix,
-    as_vector,
-    operator_norm,
-    pseudo_inverse,
-)
+from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
 __all__ = [
     "TestStatistic",
@@ -41,13 +34,18 @@ class TestStatistic:
     """A real-valued functional of a data matrix with its psi constant.
 
     ``sample_shape`` is the input shape used when property tests draw random
-    arguments for this statistic.
+    arguments for this statistic. ``batch``, when set, evaluates the
+    statistic on every slice of a stack along its leading axis at once. A
+    custom ``batch`` must be bitwise equal to ``fn`` on every slice, or ties
+    with t0 = fn(x) would break differently; each shipped ``fn`` is its
+    ``batch`` on a one-image stack.
     """
 
     name: str
     psi: float
     fn: Callable[[np.ndarray], float]
     sample_shape: tuple[int, ...]
+    batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     __test__ = False  # not a test case despite the Test* name
 
@@ -61,34 +59,73 @@ class TestStatistic:
             raise ValueError(f"statistic {self.name} returned non-finite value")
         return value
 
+    def values(self, images) -> np.ndarray:
+        """The statistic on every slice of ``images`` along its leading axis:
+        ``batch`` when set, else a loop over ``fn``."""
+        if self.batch is not None:
+            vals = np.asarray(self.batch(images), dtype=float)
+        else:
+            vals = np.array([float(self.fn(y)) for y in images])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"statistic {self.name} returned non-finite value")
+        return vals
+
+
+def _stack(images, check, name: str) -> np.ndarray:
+    """``images`` as a float stack along its leading axis, each slice shaped
+    as ``check`` (``as_matrix`` or ``as_vector``) shapes one. The first slice
+    goes through ``check``, so a wrong slice shape raises its ValueError; the
+    others share that shape."""
+    a = np.asarray(images, dtype=float)
+    if a.ndim < 1 or a.shape[0] == 0:
+        raise ValueError("need a nonempty stack of images")
+    return a.reshape(a.shape[0], *check(a[0], name).shape)
+
 
 def stat_colmean_linf(x) -> float:
     """Largest absolute column mean, n^{-1} ||1^T X||_inf."""
-    a = as_matrix(x)
-    return float(np.max(np.abs(a.mean(axis=0))))
+    return float(batch_colmean_linf([x])[0])
+
+
+def batch_colmean_linf(images) -> np.ndarray:
+    return np.max(np.abs(_stack(images, as_matrix, "X").mean(axis=1)), axis=1)
 
 
 def stat_linf(x) -> float:
     """Sup norm of a vector."""
-    return float(np.max(np.abs(as_vector(x))))
+    return float(batch_linf([x])[0])
+
+
+def batch_linf(images) -> np.ndarray:
+    return np.max(np.abs(_stack(images, as_vector, "x")), axis=1)
 
 
 def stat_opnorm(x) -> float:
     """Largest singular value."""
-    return operator_norm(x)
+    return float(batch_opnorm([x])[0])
+
+
+def batch_opnorm(images) -> np.ndarray:
+    return np.linalg.svd(_stack(images, as_matrix, "A"), compute_uv=False)[:, 0]
 
 
 def stat_kyfan(x, kappa: int, zeta: float = 1.0) -> float:
     """Generalized Ky Fan norm: the zeta-norm of the kappa largest
     singular values."""
-    a = as_matrix(x)
-    limit = min(a.shape)
+    return float(batch_kyfan([x], kappa, zeta)[0])
+
+
+def batch_kyfan(images, kappa: int, zeta: float = 1.0) -> np.ndarray:
+    a = _stack(images, as_matrix, "X")
+    limit = min(a.shape[1:])
     if not 1 <= kappa <= limit:
         raise ValueError(f"kappa must lie in [1, {limit}], got {kappa}")
     if zeta < 1.0:
         raise ValueError(f"zeta must be >= 1, got {zeta}")
-    sv = np.linalg.svd(a, compute_uv=False)[:kappa]
-    return float(np.sum(sv ** zeta) ** (1.0 / zeta))
+    sv = np.linalg.svd(a, compute_uv=False)[:, :kappa]
+    # one root per value: numpy's array power can differ from its scalar
+    # power in the last bit
+    return np.array([s ** (1.0 / zeta) for s in np.sum(sv ** zeta, axis=1)])
 
 
 def stat_ols_linf(y, design=None, design_pinv=None) -> float:
@@ -97,33 +134,42 @@ def stat_ols_linf(y, design=None, design_pinv=None) -> float:
     Pass ``design_pinv`` when evaluating repeatedly against one fixed design;
     it is the Moore-Penrose pseudo-inverse of the design matrix.
     """
-    yv = as_vector(y, "y")
     if design_pinv is None:
         if design is None:
             raise ValueError("stat_ols_linf needs a design matrix or its pseudo-inverse")
         design_pinv = pseudo_inverse(design)
+    return float(batch_ols_linf([y], design_pinv)[0])
+
+
+def batch_ols_linf(images, design_pinv) -> np.ndarray:
+    """The stacked matrix-vector product ``pinv @ y[..., None]`` is bitwise
+    the 1d one; ``Y @ pinv.T`` would run a matrix product with a different
+    summation order."""
+    y = _stack(images, as_vector, "y")
     design_pinv = np.asarray(design_pinv, dtype=float)
-    if design_pinv.shape[1] != yv.shape[0]:
-        raise ValueError(
-            f"design has {design_pinv.shape[1]} rows, y has {yv.shape[0]} entries"
-        )
-    return float(np.max(np.abs(design_pinv @ yv)))
+    if design_pinv.shape[1] != y.shape[1]:
+        raise ValueError(f"design has {design_pinv.shape[1]} rows, y has {y.shape[1]} entries")
+    return np.max(np.abs(design_pinv @ y[..., None]), axis=(1, 2))
 
 
 def stat_twosample_diff(x, n: int, n_prime: int, norm: str = "linf") -> float:
     """Norm of the difference of block means of a stacked (n+n') x p matrix."""
-    a = as_matrix(x)
-    if a.shape[0] != n + n_prime:
+    return float(batch_twosample_diff([x], n, n_prime, norm)[0])
+
+
+def batch_twosample_diff(images, n: int, n_prime: int, norm: str = "linf") -> np.ndarray:
+    a = _stack(images, as_matrix, "X")
+    if a.shape[1] != n + n_prime:
         raise ValueError(
-            f"stacked matrix has {a.shape[0]} rows, expected n + n' = {n + n_prime}"
+            f"stacked matrix has {a.shape[1]} rows, expected n + n' = {n + n_prime}"
         )
     if n < 1 or n_prime < 1:
         raise ValueError("both sample sizes must be >= 1")
-    diff = a[:n].mean(axis=0) - a[n:].mean(axis=0)
+    diff = a[:, :n].mean(axis=1) - a[:, n:].mean(axis=1)
     if norm == "linf":
-        return float(np.max(np.abs(diff)))
+        return np.max(np.abs(diff), axis=1)
     if norm == "l2":
-        return float(np.linalg.norm(diff))
+        return np.sqrt(np.vecdot(diff, diff))  # bitwise the 1d np.linalg.norm
     raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
 
 
@@ -161,11 +207,12 @@ def make_statistic(name: str, **params) -> TestStatistic:
     """
     shape = params.pop("sample_shape", None)
     if name == "colmean_linf":
-        return TestStatistic("colmean_linf", 1.0, stat_colmean_linf, shape or (8, 5))
+        return TestStatistic("colmean_linf", 1.0, stat_colmean_linf, shape or (8, 5),
+                             batch_colmean_linf)
     if name == "linf":
-        return TestStatistic("linf", 1.0, stat_linf, shape or (12,))
+        return TestStatistic("linf", 1.0, stat_linf, shape or (12,), batch_linf)
     if name == "opnorm":
-        return TestStatistic("opnorm", 1.0, stat_opnorm, shape or (6, 4))
+        return TestStatistic("opnorm", 1.0, stat_opnorm, shape or (6, 4), batch_opnorm)
     if name == "kyfan":
         kappa = params.pop("kappa", 2)
         zeta = params.pop("zeta", 1.0)
@@ -176,6 +223,7 @@ def make_statistic(name: str, **params) -> TestStatistic:
             1.0,
             lambda x: stat_kyfan(x, kappa, zeta),
             shape or (6, 4),
+            lambda xs: batch_kyfan(xs, kappa, zeta),
         )
     if name == "ols_linf":
         design = params.pop("design", None)
@@ -190,6 +238,7 @@ def make_statistic(name: str, **params) -> TestStatistic:
             1.0,
             lambda y: stat_ols_linf(y, design_pinv=pinv),
             shape or (design.shape[0],),
+            lambda ys: batch_ols_linf(ys, pinv),
         )
     if name == "twosample_diff":
         n = params.pop("n")
@@ -202,6 +251,7 @@ def make_statistic(name: str, **params) -> TestStatistic:
             1.0,
             lambda x: stat_twosample_diff(x, n, n_prime, norm),
             shape or (n + n_prime, 1),
+            lambda xs: batch_twosample_diff(xs, n, n_prime, norm),
         )
     raise ValueError(f"unknown statistic {name!r}")
 

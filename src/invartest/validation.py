@@ -238,8 +238,7 @@ def _check_exchangeability(stream: RngStream, budget: dict) -> CheckResult:
         for _ in range(reps):
             x = sample_noise(entry.noise, gen)
             t0 = entry.statistic(x)
-            vals = np.array([entry.statistic(entry.action.randomize(x, gen))
-                             for _ in range(K)])
+            vals = entry.statistic.values(entry.action.randomize_batch(x, K, gen))
             cells[count_below(t0, vals)] += 1
         expected = reps / (K + 1)
         chi2 = float(np.sum((cells - expected) ** 2 / expected))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from invartest import engine
 from invartest.engine import (
     RandTestConfig,
     all_sign_patterns,
@@ -383,3 +384,29 @@ class TestDecisionProperties:
         b = run_randomization_test(x, stat, action, cfg, RngStream(seed, 1))
         assert (a.k, a.reject, a.p_value) == (b.k, b.reject, b.p_value)
         assert_array_equal(a.randomized, b.randomized)
+
+
+class TestBlockedDraw:
+    @pytest.mark.parametrize("kind, stat, shape", [
+        ("signflip_rows", "colmean_linf", (6, 5)),
+        ("permute_rows", "opnorm", (7, 3)),
+        ("rotate_full", "colmean_linf", (6, 5)),
+        ("rotate_full", "opnorm", (3, 8)),
+        ("rotate_full", "linf", (9,)),
+        ("rotate_per_column", "opnorm", (6, 4)),
+    ])
+    @pytest.mark.parametrize("block_values", [1, 7, 100])
+    def test_outcome_does_not_depend_on_block_size(self, monkeypatch, kind, stat,
+                                                   shape, block_values):
+        x = RngStream(61010).generator().standard_normal(shape)
+        n = shape[0]
+        p = shape[-1] if kind == "rotate_full" else (shape[1] if len(shape) == 2 else 1)
+        action = GroupAction(kind, n=n, p=p)
+        f = make_statistic(stat)
+        cfg = RandTestConfig(K=37, alpha=0.1)
+        whole = run_randomization_test(x, f, action, cfg, RngStream(61011))
+        monkeypatch.setattr(engine, "_BLOCK_VALUES", block_values)
+        blocked = run_randomization_test(x, f, action, cfg, RngStream(61011))
+        assert blocked.randomized.tobytes() == whole.randomized.tobytes()
+        assert (blocked.t0, blocked.k, blocked.reject, blocked.p_value) == (
+            whole.t0, whole.k, whole.reject, whole.p_value)

@@ -3,6 +3,8 @@ composition."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
@@ -18,7 +20,7 @@ from invartest.groups import (
     sample_signflips,
     sample_sphere_image,
 )
-from invartest.numerics import RngStream
+from invartest.numerics import RngStream, qr_orthonormalize
 
 
 class TestSignflips:
@@ -255,3 +257,174 @@ class TestGroupAction:
         a = action.randomize(x, RngStream(7).generator())
         b = action.randomize(x, RngStream(7).generator())
         assert_array_equal(a, b)
+
+
+# A frozen copy of the one-element-at-a-time draw that GroupAction.randomize
+# made before the batched draw: randomize_batch must read the stream exactly
+# as K calls of it. A vector under rotate_per_column is one column here.
+
+def _loop_sphere_image(x, gen):
+    radius = float(np.linalg.norm(x))
+    if radius == 0.0:
+        return np.zeros_like(x)
+    while True:
+        z = gen.standard_normal(x.size)
+        norm = float(np.linalg.norm(z))
+        if norm > 0.0:
+            return z * (radius / norm)
+
+
+def _loop_haar(p, gen):
+    while True:
+        g = gen.standard_normal((p, p))
+        q, r = np.linalg.qr(g)
+        diag = np.diagonal(r).copy()
+        scale = np.linalg.norm(g)
+        if not (np.any(np.abs(diag) < 1e-12 * scale) or scale == 0.0):
+            return q * np.sign(diag)[None, :]
+
+
+def _loop_randomize(kind, arr, gen):
+    if kind == "signflip_rows":
+        signs = (gen.integers(0, 2, size=arr.shape[0]) * 2 - 1).astype(float)
+        return signs * arr if arr.ndim == 1 else signs[:, None] * arr
+    if kind == "permute_rows":
+        return arr[gen.permutation(arr.shape[0])]
+    if kind == "rotate_full":
+        if arr.ndim == 1:
+            return _loop_sphere_image(arr, gen)
+        if arr.shape[0] == 1:
+            return _loop_sphere_image(arr[0], gen)[None, :]
+        return arr @ _loop_haar(arr.shape[1], gen).T
+    cols = arr[:, None] if arr.ndim == 1 else arr
+    out = np.empty_like(cols)
+    for j in range(cols.shape[1]):
+        out[:, j] = _loop_sphere_image(cols[:, j], gen)
+    return out.reshape(arr.shape)
+
+
+def _action_for(kind, arr):
+    n = arr.shape[0]
+    p = 1 if arr.ndim == 1 else arr.shape[1]
+    if kind == "rotate_full":
+        return GroupAction(kind, p=arr.shape[-1])
+    return GroupAction(kind, n=n, p=p)
+
+
+# derandomized, so that every run of the suite checks the same examples
+class TestRandomizeBatch:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(KINDS), vector=st.booleans(),
+           n=st.integers(1, 9), p=st.integers(1, 9), K=st.integers(1, 50),
+           zero_cols=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_element_loop(self, kind, vector, n, p, K, zero_cols, seed):
+        if kind == "rotate_full" and not vector and 1 < n < p:
+            p = n  # the wide case draws a Stiefel frame instead (law test below)
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal(n if vector else (n, p))
+        if not vector:
+            x[:, :min(zero_cols, p)] = 0.0
+        action = _action_for(kind, x)
+        batch = action.randomize_batch(x, K, np.random.default_rng(seed + 1))
+        loop_gen = np.random.default_rng(seed + 1)
+        loop = np.stack([_loop_randomize(kind, x, loop_gen) for _ in range(K)])
+        batch_gen = np.random.default_rng(seed + 1)
+        action.randomize_batch(x, K, batch_gen)
+        assert batch.shape == (K, *x.shape)
+        assert batch.tobytes() == loop.tobytes()
+        assert batch_gen.random() == loop_gen.random()
+
+    def test_randomize_is_the_first_batch_image(self):
+        x = RngStream(41021).generator().standard_normal((5, 3))
+        for kind in KINDS:
+            action = _action_for(kind, x)
+            one = action.randomize(x, RngStream(41022).generator())
+            first = action.randomize_batch(x, 1, RngStream(41022).generator())[0]
+            assert one.tobytes() == first.tobytes()
+
+    @pytest.mark.parametrize("rank", [3, 1])
+    def test_stiefel_draw_matches_eager_rotation_in_law(self, rank):
+        # 1 < n < p: the lazy image R^T S^T against X O^T with O Haar on R^p
+        gen = RngStream(41023, rank).generator()
+        x = gen.standard_normal((3, rank)) @ gen.standard_normal((rank, 6))
+        action = GroupAction("rotate_full", p=6)
+        draws = 3000
+        lazy = action.randomize_batch(x, draws, RngStream(41024, rank))
+        eager_gen = RngStream(41025, rank).generator()
+        eager = np.stack([apply_action(action.sample(eager_gen), x) for _ in range(draws)])
+        # a rotation keeps the Gram matrix of the rows exactly
+        assert_allclose(lazy @ lazy.mT, np.broadcast_to(x @ x.T, (draws, 3, 3)),
+                        atol=1e-10 * np.sum(x * x))
+        for f in (lambda y: y[:, 0, 0], lambda y: y[:, 2, 5],
+                  lambda y: np.max(np.abs(y.mean(axis=1)), axis=1)):
+            assert stats.ks_2samp(f(lazy), f(eager)).pvalue > 0.01
+
+    def test_degenerate_qr_draw_is_redrawn(self):
+        x = RngStream(41026).generator().standard_normal((4, 3))
+        stub = _StubGenerator(RngStream(41027).generator(), zero_slot=1)
+        images = GroupAction("rotate_full", p=3).randomize_batch(x, 3, stub)
+        assert [d.shape for d in stub.draws] == [(3, 3, 3), (3, 3, 3)]
+        q, _ = qr_orthonormalize(stub.draws[1])
+        assert images.tobytes() == (x @ q.mT).tobytes()
+
+    def test_zero_norm_sphere_draw_is_redrawn(self):
+        x = np.array([3.0, 4.0, 0.0])
+        stub = _StubGenerator(RngStream(41028).generator(), zero_slot=2)
+        images = GroupAction("rotate_full", p=3).randomize_batch(x, 4, stub)
+        assert [d.shape for d in stub.draws] == [(4, 3), (4, 3)]
+        assert_allclose(np.linalg.norm(images, axis=1), 5.0, rtol=1e-14)
+
+
+class _StubGenerator:
+    """A generator whose first normal draw has an all-zero slot."""
+
+    def __init__(self, gen, zero_slot):
+        self.gen = gen
+        self.zero_slot = zero_slot
+        self.draws = []
+
+    def standard_normal(self, shape):
+        z = self.gen.standard_normal(shape)
+        if not self.draws:
+            z[self.zero_slot] = 0.0
+        self.draws.append(z.copy())
+        return z
+
+
+class TestShapeChecks:
+    # every kind checks the data against its n and p, lazily as eagerly
+    @pytest.mark.parametrize("action, x", [
+        (GroupAction("signflip_rows", n=5), np.ones((3, 2))),
+        (GroupAction("permute_rows", n=5), np.ones((3, 2))),
+        (GroupAction("rotate_full", p=7), np.ones((3, 2))),
+        (GroupAction("rotate_full", p=7), np.ones(3)),
+        (GroupAction("rotate_per_column", n=5, p=2), np.ones((3, 2))),
+        (GroupAction("rotate_per_column", n=3, p=4), np.ones((3, 2))),
+    ])
+    def test_lazy_raises_as_eager(self, action, x):
+        with pytest.raises(ValueError) as eager:
+            apply_action(action.sample(RngStream(1).generator()), x)
+        with pytest.raises(ValueError) as lazy:
+            action.randomize(x, RngStream(1).generator())
+        assert str(lazy.value) == str(eager.value)
+        with pytest.raises(ValueError, match="cannot act|does not match"):
+            action.randomize_batch(x, 4, RngStream(1).generator())
+
+
+class TestRotatePerColumnVector:
+    def test_vector_is_one_column(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        action = GroupAction("rotate_per_column", n=4)
+        lazy = action.randomize(x, RngStream(41029).generator())
+        eager = apply_action(action.sample(RngStream(41030).generator()), x)
+        for y in (lazy, eager):
+            assert y.shape == (4,)
+            assert np.linalg.norm(y) == pytest.approx(np.sqrt(30.0), rel=1e-12)
+
+    def test_lazy_matches_eager_in_law(self):
+        x = np.array([1.0, -2.0, 0.5, 3.0])
+        action = GroupAction("rotate_per_column", n=4)
+        lazy = action.randomize_batch(x, 3000, RngStream(41031))[:, 0]
+        gen = RngStream(41032).generator()
+        eager = np.array([apply_action(action.sample(gen), x)[0] for _ in range(3000)])
+        assert stats.ks_2samp(lazy, eager).pvalue > 0.01

@@ -73,8 +73,32 @@ class TestQrOrthonormalize:
             qr_orthonormalize(np.zeros((2, 2)))
 
     def test_rectangular_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            qr_orthonormalize(np.ones((3, 2)))
+        # wide: Q cannot have orthonormal columns
+        with pytest.raises(ValueError, match="square or tall"):
+            qr_orthonormalize(np.ones((2, 3)))
+
+    def test_tall_factorization(self):
+        a = RngStream(31003).generator().standard_normal((7, 3))
+        q, r = qr_orthonormalize(a)
+        assert q.shape == (7, 3) and r.shape == (3, 3)
+        assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
+        assert np.linalg.norm(q.T @ q - np.eye(3)) <= 1e-10
+        assert np.all(np.diag(r) > 0)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (6, 2)])
+    def test_stack_equals_matrix_by_matrix(self, shape):
+        a = RngStream(31004).generator().standard_normal((5, *shape))
+        q, r = qr_orthonormalize(a)
+        for i in range(5):
+            qi, ri = qr_orthonormalize(a[i])
+            assert_array_equal(q[i], qi)
+            assert_array_equal(r[i], ri)
+
+    def test_degenerate_matrix_in_stack_rejected(self):
+        a = RngStream(31005).generator().standard_normal((4, 3, 3))
+        a[1] = 1.0
+        with pytest.raises(ValueError, match="degenerate"):
+            qr_orthonormalize(a)
 
 
 class TestOperatorNorm:

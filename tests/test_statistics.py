@@ -3,7 +3,9 @@ checker."""
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose, assert_array_equal
 
 from invartest.numerics import RngStream
 from invartest.statistics import (
@@ -69,6 +71,15 @@ class TestOpnormAndKyfan:
         assert stat_kyfan(a, kappa=4, zeta=2.0) == pytest.approx(
             np.linalg.norm(a), abs=1e-9
         )
+
+    def test_kyfan_takes_the_scalar_root(self):
+        # bitwise the scalar power; numpy's array power can differ from it
+        # in the last bit
+        gen = RngStream(51004).generator()
+        for _ in range(100):
+            a = gen.standard_normal((5, 4))
+            sv = np.linalg.svd(a, compute_uv=False)[:3]
+            assert stat_kyfan(a, kappa=3, zeta=3.5) == float(np.sum(sv ** 3.5) ** (1 / 3.5))
 
     def test_kyfan_hand_example(self):
         assert stat_kyfan(np.diag([3.0, 2.0, 1.0]), kappa=2, zeta=1.0) == pytest.approx(5.0)
@@ -207,3 +218,75 @@ class TestStatisticFactory:
         assert "ols_linf" in names
         assert any(n.startswith("kyfan") for n in names)
         assert any(n.startswith("twosample_diff") for n in names)
+
+
+@st.composite
+def _statistic_and_shape(draw):
+    """A shipped statistic built for a drawn input shape."""
+    name = draw(st.sampled_from(["colmean_linf", "linf", "opnorm", "kyfan",
+                                 "ols_linf", "twosample_diff"]))
+    n = draw(st.integers(1, 12), label="n")
+    p = draw(st.integers(1, 12), label="p")
+    vector = draw(st.booleans(), label="vector")
+    if name == "linf":
+        return make_statistic(name), (n,) if vector else (n, 1)
+    if name == "ols_linf":
+        q = draw(st.integers(1, n), label="q")
+        design = np.random.default_rng(n * 13 + q).standard_normal((n, q))
+        return make_statistic(name, design=design), (n,)
+    shape = (n,) if vector else (n, p)
+    if name == "kyfan":
+        kappa = draw(st.integers(1, min(n, 1 if vector else p)), label="kappa")
+        zeta = draw(st.sampled_from([1.0, 2.0, 3.5]), label="zeta")
+        return make_statistic(name, kappa=kappa, zeta=zeta), shape
+    if name == "twosample_diff":
+        n1 = draw(st.integers(1, 8), label="n1")
+        n2 = draw(st.integers(1, 8), label="n2")
+        norm = draw(st.sampled_from(["linf", "l2"]), label="norm")
+        shape = (n1 + n2,) if vector else (n1 + n2, p)
+        return make_statistic(name, n=n1, n_prime=n2, norm=norm), shape
+    return make_statistic(name), shape
+
+
+# derandomized, so that every run of the suite checks the same examples.
+# Each shipped fn is its batch form on a one-image stack; the property checks
+# that an image's value does not depend on the stack it is evaluated in.
+class TestBatchValues:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(stat_shape=_statistic_and_shape(), K=st.integers(1, 20),
+           ties=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_batch_is_bitwise_the_loop(self, stat_shape, K, ties, seed):
+        stat, shape = stat_shape
+        stack = np.random.default_rng(seed).standard_normal((K, *shape)) * 3.0
+        if ties:
+            stack = np.round(stack)
+        stack[0] = stack[0] + 1.0  # keep one slice nonzero
+        assert stat.batch is not None
+        values = stat.values(stack)
+        assert values.tobytes() == np.array([stat(y) for y in stack]).tobytes()
+        assert stat.values(stack[0][None])[0] == stat(stack[0])
+
+    def test_without_batch_loops_over_fn(self):
+        stat = TestStatistic("first", 1.0, lambda x: x[0, 0], (2, 2))
+        stack = np.arange(12.0).reshape(3, 2, 2)
+        assert_array_equal(stat.values(stack), [0.0, 4.0, 8.0])
+
+    @pytest.mark.parametrize("batch", [None, lambda xs: np.full(len(xs), np.nan)])
+    def test_nonfinite_value_rejected(self, batch):
+        stat = TestStatistic("blowup", 1.0, lambda x: float("inf"), (2,), batch)
+        with pytest.raises(ValueError, match="non-finite"):
+            stat.values(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("stat, stack, match", [
+        (make_statistic("linf"), np.ones((2, 3, 3)), "one-dimensional"),
+        (make_statistic("colmean_linf"), np.ones((2, 3, 3, 3)), "ndim=3"),
+        (make_statistic("twosample_diff", n=2, n_prime=3), np.ones((2, 4, 1)), "rows"),
+        (make_statistic("ols_linf", design=np.ones((4, 2))), np.ones((2, 5)), "rows"),
+        (make_statistic("kyfan", kappa=3), np.ones((2, 4, 2)), "kappa"),
+    ])
+    def test_values_checks_the_slice_shape(self, stat, stack, match):
+        # the same ValueError as fn on one slice
+        with pytest.raises(ValueError, match=match):
+            stat(stack[0])
+        with pytest.raises(ValueError, match=match):
+            stat.values(stack)
