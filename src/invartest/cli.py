@@ -138,6 +138,9 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
     kwargs = {k: v for k, v in section.items() if k not in ("name", "seed")}
     for key in ("ks", "dfs"):
         if key in kwargs:
+            if not isinstance(kwargs[key], list):
+                raise UsageError(f"config key {key!r} must be a list, "
+                                 f"got {json.dumps(kwargs[key])}")
             kwargs[key] = tuple(kwargs[key])
     try:
         cfg = factory(seed, **kwargs)

@@ -42,11 +42,10 @@ _BLOCK_VALUES = 2 ** 16  # images are drawn in blocks of at most this many value
 
 @dataclass(frozen=True)
 class RandTestConfig:
-    """K random transforms, level alpha, and the comparison variant."""
+    """K random transforms and level alpha."""
 
     K: int
     alpha: float
-    variant: str = "quantile"
 
     def __post_init__(self):
         if self.K < 1:
@@ -55,8 +54,6 @@ class RandTestConfig:
             raise ValueError(
                 f"alpha must lie in the open interval (0, 1), got {self.alpha}"
             )
-        if self.variant not in ("quantile", "max"):
-            raise ValueError(f"variant must be 'quantile' or 'max', got {self.variant!r}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,7 @@ def run_randomization_test(
         f.values(action.randomize_batch(arr, min(rows, cfg.K - i), gen))
         for i in range(0, cfg.K, rows)
     ])
-    k = cfg.K if cfg.variant == "max" else order_index(cfg.K, cfg.alpha)
+    k = order_index(cfg.K, cfg.alpha)
     if k > cfg.K:
         warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "
                       "so this test can never reject", RuntimeWarning)
@@ -180,11 +177,10 @@ def run_max_test(
 ) -> RandTestOutcome:
     """Reject iff f(X) strictly exceeds all K randomized values.
 
-    This is the quantile rule at alpha = 1/(K+1); both paths consume the
-    stream identically, so they agree outcome-for-outcome.
+    This is the quantile rule at alpha = 1/(K+1), where ``order_index``
+    gives k = K.
     """
-    cfg = RandTestConfig(K=K, alpha=1.0 / (K + 1), variant="max")
-    return run_randomization_test(x, f, action, cfg, rng)
+    return run_randomization_test(x, f, action, RandTestConfig(K, 1.0 / (K + 1)), rng)
 
 
 def brute_force_full_group_test(

@@ -30,6 +30,7 @@ from itertools import repeat
 import numpy as np
 
 from .engine import decide, decide_stopping, order_index
+from .groups import _column_sphere_images, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_quantile, pseudo_inverse, student_t_quantile
 from .theory import (
@@ -433,11 +434,9 @@ _CONFIG_FACTORIES = {
 # ---------------------------------------------------------------------------
 # scenarios under one unit loop: setup(cfg, methods) computes per-chunk
 # constants; unit(cfg, constants, signal, noise stream, (method, generator)
-# pairs) draws one unit and yields one rejection per method, in method order
-
-def _signflips(gen: np.random.Generator, K: int, n: int) -> np.ndarray:
-    """K uniform sign vectors of length n as a (K, n) float array."""
-    return gen.integers(0, 2, size=(K, n)) * 2.0 - 1.0
+# pairs) draws one unit and yields one rejection per method, in method order.
+# Every group draw goes through the helpers in groups.py; each unit keeps
+# only its statistic's arithmetic on the draw.
 
 
 def _sparse_setup(cfg: ScenarioConfig, parsed) -> tuple[float, dict]:
@@ -464,13 +463,13 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
         if meth.kind == "deterministic":
             yield t0 > t_det
         elif meth.kind == "signflip":
-            vals = np.max(np.abs(_signflips(gen, meth.K, cfg.n) @ x), axis=1) / cfg.n
+            vals = np.max(np.abs(_signs(meth.K, cfg.n, gen) @ x), axis=1) / cfg.n
             yield decide(t0, vals, meth.k)
         else:  # rotation acts on rows, hence on the column-mean vector
             # a Gaussian z over its norm is uniform on the sphere, so
             # max|z| / |z| * radius is the lazy image's sup norm
-            z = gen.standard_normal((meth.K, cfg.p))
-            vals = np.max(np.abs(z), axis=1) / np.linalg.norm(z, axis=1) * radius
+            z, norms = _gaussian_rows((meth.K, cfg.p), gen)
+            vals = np.max(np.abs(z), axis=1) / norms * radius
             yield decide(t0, vals, meth.k)
 
 
@@ -486,9 +485,7 @@ def _two_sample_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
         if meth.kind == "t_test":
             yield two_sample_t_test(z, y, cfg.alpha)
         else:
-            # argsort of iid uniforms is a uniform permutation
-            perms = np.argsort(gen.random((meth.K, w.size)), axis=1)
-            shuffled = centered[perms]
+            shuffled = centered[_permutations(meth.K, w.size, gen)]
             vals = np.abs(shuffled[:, :n].mean(axis=1) - shuffled[:, n:].mean(axis=1))
             yield decide(t0, vals, meth.k)
 
@@ -502,19 +499,12 @@ def _lowrank_setup(cfg: ScenarioConfig, parsed) -> np.ndarray:
 def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, methods):
     x = sample_noise(cfg.noise, noise) + tau * base
     t0 = float(np.linalg.svd(x, compute_uv=False)[0])
-    col_norms = np.linalg.norm(x, axis=0)
     for meth, gen in methods:
         def orbit(b):
-            # lazy per-column rotation: each Gaussian column, scaled to unit
-            # length (zero columns stay zero), becomes a uniform point on the
-            # sphere of its own radius. Row blocks of standard_normal are
-            # prefixes of one (K, n, p) draw, so stopping early leaves every
-            # drawn value as it was.
-            z = gen.standard_normal((b, cfg.n, cfg.p))
-            norms = np.linalg.norm(z, axis=1, keepdims=True)
-            z /= np.where(norms > 0.0, norms, 1.0)
-            z *= col_norms[None, None, :]
-            return np.linalg.svd(z, compute_uv=False)[:, 0]
+            # row blocks of the column images are prefixes of one draw of
+            # all K, so stopping early leaves every drawn value as it was
+            images = _column_sphere_images(x, b, gen)
+            return np.linalg.svd(images, compute_uv=False)[:, 0]
         yield decide_stopping(t0, orbit, meth.K, meth.k)
 
 
@@ -535,7 +525,7 @@ def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
     y = tau * column + eps
     t0 = float(np.max(np.abs(pinv @ y)))
     for meth, gen in methods:
-        b = _signflips(gen, meth.K, cfg.n)
+        b = _signs(meth.K, cfg.n, gen)
         b *= y[None, :]
         vals = np.max(np.abs(pinv @ b.T), axis=0)
         yield decide(t0, vals, meth.k)

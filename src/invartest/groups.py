@@ -13,6 +13,15 @@ actual matrix; wherever the data is a single vector (or an independent
 column), the distributional identity O x =_d Z/||Z|| * ||x|| replaces the
 O(p^3) sample with an O(p) one, and a rotate_full on an n x p matrix with
 1 < n < p draws an n-frame of R^p instead of a p x p rotation.
+
+This module is the only place that reads a random stream for a group
+element. The helpers ``_signs``, ``_permutations``, ``_gaussian_rows`` and
+``_column_sphere_images`` each fix one way of reading it: K sign vectors
+from one ``integers`` block, K permutations as the argsort of one ``random``
+block, and K images from one standard normal block. The samplers, the
+batched action, the power-study scenarios and the Monte Carlo bounds all
+call them, so a K-row draw is the same values wherever it is made, and a
+draw of a rows followed by b rows equals one draw of a + b.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ __all__ = [
     "sample_sphere_image",
     "apply_action",
     "compose",
-    "identity_element",
 ]
 
 KINDS = ("signflip_rows", "permute_rows", "rotate_full", "rotate_per_column")
@@ -112,19 +120,20 @@ class GroupAction:
         then b gives the images of one draw of a + b. Shortcuts are used
         where they are exact in law: a rotate_full on a single vector (or a
         one-row matrix) and every column of a rotate_per_column map to
-        uniform points on spheres, ``z * (||x|| / ||z||)``; a rotate_full on
-        an n x p matrix with 1 < n < p draws a uniform point S on the
-        Stiefel manifold V(p, n) instead of a p x p Haar matrix O. With
-        X^T = Q R, X O^T = R^T (O Q)^T and O Q is uniform on V(p, n), so the
-        image R^T S^T has the law of X O^T, rank-deficient X included.
+        uniform points on spheres, a Gaussian z scaled to the length of
+        what it replaces; a rotate_full on an n x p matrix with 1 < n < p
+        draws a uniform point S on the Stiefel manifold V(p, n) instead of a
+        p x p Haar matrix O. With X^T = Q R, X O^T = R^T (O Q)^T and O Q is
+        uniform on V(p, n), so the image R^T S^T has the law of X O^T,
+        rank-deficient X included.
         """
         gen = as_generator(rng)
         arr = np.asarray(x, dtype=float)
         if self.kind in ("signflip_rows", "permute_rows"):
             _check_acts_on(self.kind, self.n, arr)
             if self.kind == "permute_rows":
-                return arr[gen.permuted(np.tile(np.arange(self.n), (K, 1)), axis=1)]
-            signs = (gen.integers(0, 2, size=(K, self.n)) * 2 - 1).astype(float)
+                return arr[_permutations(K, self.n, gen)]
+            signs = _signs(K, self.n, gen)
             return signs * arr if arr.ndim == 1 else signs[:, :, None] * arr
         if self.kind == "rotate_per_column":
             _check_acts_on(self.kind, self.n, arr, self.p or 1)
@@ -162,6 +171,17 @@ def _check_acts_on(kind: str, size: int, arr: np.ndarray, columns: int = 1) -> N
             raise ValueError("column rotation size does not match row count")
 
 
+def _signs(K: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """K uniform sign vectors of length n as a (K, n) float array."""
+    return gen.integers(0, 2, (K, n)) * 2.0 - 1.0
+
+
+def _permutations(K: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """K uniform permutations of range(n) as a (K, n) index array: the
+    argsort of iid uniforms is a uniform permutation."""
+    return np.argsort(gen.random((K, n)), axis=1)
+
+
 def _gaussian_rows(shape: tuple[int, ...], gen: np.random.Generator):
     """A standard normal draw and the norms of its last-axis rows. A draw
     with a row of norm 0 (probability zero) is redrawn whole."""
@@ -185,17 +205,15 @@ def _sphere_images(x: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarra
 def _column_sphere_images(arr: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
     """K images of ``arr`` under independent rotations of each column, each
     column mapped to a uniform point on its sphere. A vector is one column.
-    Zero columns stay zero and draw nothing; the others draw their normals
-    image by image, column by column."""
+    One (K, n, p) normal draw: each Gaussian column, scaled to unit length,
+    takes its own column's norm, so zero columns stay zero. Row blocks of
+    the draw are prefixes of one draw of all K images."""
     cols = arr[:, None] if arr.ndim == 1 else arr
-    contiguous = np.ascontiguousarray(cols.T)  # strided rows sum in another order
-    radii = np.sqrt(np.vecdot(contiguous, contiguous))
-    live = radii > 0.0
-    out = np.zeros((K, *cols.shape))
-    if live.any():
-        z, norms = _gaussian_rows((K, int(live.sum()), cols.shape[0]), gen)
-        out[:, :, live] = (z * (radii[live] / norms)[..., None]).transpose(0, 2, 1)
-    return out.reshape(K, *arr.shape)
+    z = gen.standard_normal((K, *cols.shape))
+    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    z /= np.where(norms > 0.0, norms, 1.0)
+    z *= np.linalg.norm(cols, axis=0)
+    return z.reshape(K, *arr.shape)
 
 
 def _orthonormal_frames(shape: tuple[int, int, int], gen: np.random.Generator) -> np.ndarray:
@@ -214,17 +232,14 @@ def sample_signflips(n: int, rng: RngStream | np.random.Generator) -> GroupEleme
     """n independent uniform +-1 signs (one per row)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_generator(rng)
-    signs = gen.integers(0, 2, size=n) * 2 - 1
-    return GroupElement("signflip_rows", signs.astype(float))
+    return GroupElement("signflip_rows", _signs(1, n, as_generator(rng))[0])
 
 
 def sample_permutation(n: int, rng: RngStream | np.random.Generator) -> GroupElement:
-    """Uniform random permutation of the n rows (Fisher-Yates)."""
+    """Uniform random permutation of the n rows."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_generator(rng)
-    return GroupElement("permute_rows", gen.permutation(n))
+    return GroupElement("permute_rows", _permutations(1, n, as_generator(rng))[0])
 
 
 def sample_haar_orthogonal(p: int, rng: RngStream | np.random.Generator) -> GroupElement:
@@ -292,14 +307,3 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
         return GroupElement("permute_rows", h.payload[g.payload])
     raise ValueError("composition is implemented for the discrete kinds only")
 
-
-def identity_element(kind: str, n: int | None = None, p: int | None = None) -> GroupElement:
-    if kind == "signflip_rows":
-        return GroupElement(kind, np.ones(n))
-    if kind == "permute_rows":
-        return GroupElement(kind, np.arange(n))
-    if kind == "rotate_full":
-        return GroupElement(kind, np.eye(p))
-    if kind == "rotate_per_column":
-        return GroupElement(kind, tuple(np.eye(n) for _ in range(p)))
-    raise ValueError(f"unknown group kind {kind!r}")

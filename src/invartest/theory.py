@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import _signs
 from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
 __all__ = [
@@ -132,7 +133,7 @@ def bernoulli_bound_regression(
         )
     gen = as_generator(rng)
     m = pseudo_inverse(x) * eps[None, :]
-    signs = gen.integers(0, 2, size=(mc, x.shape[0])) * 2.0 - 1.0
+    signs = _signs(mc, x.shape[0], gen)
     sups = np.max(np.abs(signs @ m.T), axis=1)
     b_est = float(np.mean(sups))
     se = float(np.std(sups, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
@@ -160,7 +161,7 @@ def bernoulli_bound_design(
     pinv = pseudo_inverse(x)
     # gens[j, q, k] = [X^+]_{j,k} * X_{k,q}
     gens = pinv[:, None, :] * x.T[None, :, :]
-    signs = gen.integers(0, 2, size=(mc, n)) * 2.0 - 1.0
+    signs = _signs(mc, n, gen)
     # per draw: max_j sum_q |sum_k gens[j,q,k] b_k|
     inner = (signs @ gens.reshape(p * p, n).T).reshape(mc, p, p)
     sups = np.max(np.sum(np.abs(inner), axis=2), axis=1)

@@ -436,6 +436,18 @@ class TestSimulateSubcommand:
     def test_missing_config_file(self, capsys):
         assert cli.main(["simulate", "--config", "/nope/absent.json"]) == 2
 
+    @pytest.mark.parametrize("scenario", [
+        {"name": "sparse_vector", "alpha": 0.05, "ks": 19},
+        {"name": "heavy_tail", "alpha": 0.05, "dfs": "3"},
+    ])
+    def test_scalar_list_key_named(self, tmp_path, capsys, scenario):
+        config = write_config(tmp_path, scenario=scenario)
+        rc = cli.main(["simulate", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        key = "ks" if "ks" in scenario else "dfs"
+        assert err.startswith("error:") and repr(key) in err
+
 
 class TestTopLevel:
     def test_no_arguments(self, capsys):

@@ -102,10 +102,6 @@ class TestRandTestConfig:
         with pytest.raises(ValueError, match="alpha"):
             RandTestConfig(K=19, alpha=0.0)
 
-    def test_variant_names(self):
-        with pytest.raises(ValueError, match="variant"):
-            RandTestConfig(K=19, alpha=0.05, variant="median")
-
 
 class TestRunRandomizationTest:
     def test_constant_statistic_never_rejects(self):

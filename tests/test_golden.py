@@ -106,17 +106,21 @@ GOLDEN_TEST_STDOUT = {
         "opnorm",
         _TEST_PREAMBLE.format(stat="opnorm", group="rotation_per_column")
         + "t0 = 5.5326327847000023\n" + _K_LINE
-        + "reject = False\np_value = 0.84999999999999998\n",
+        + "reject = False\np_value = 0.69999999999999996\n",
     ),
 }
 
 
-@pytest.fixture
-def golden_matrix(tmp_path):
-    """A 10x4 Gaussian matrix with a 2.5 shift on the first half of column 0."""
-    data = np.random.Generator(np.random.PCG64(3106)).standard_normal((10, 4))
-    data[:5, 0] += 2.5
-    path = tmp_path / "data.csv"
+# rotate_full on a 4x10 matrix (1 < n < p) draws Stiefel frames of R^10
+# rather than 10x10 rotations; nothing above reaches that path
+GOLDEN_WIDE_ROTATION_STDOUT = (
+    "data 4x10, statistic colmean_linf, group rotation, K=19, alpha=0.05, seed 3110\n"
+    "t0 = 1.7888045613273236\n" + _K_LINE
+    + "reject = False\np_value = 0.14999999999999999\n"
+)
+
+
+def _write_matrix(path, data):
     path.write_text(
         "".join(",".join(repr(float(v)) for v in row) + "\n" for row in data),
         encoding="utf-8",
@@ -124,15 +128,39 @@ def golden_matrix(tmp_path):
     return path
 
 
+@pytest.fixture
+def golden_matrix(tmp_path):
+    """A 10x4 Gaussian matrix with a 2.5 shift on the first half of column 0."""
+    data = np.random.Generator(np.random.PCG64(3106)).standard_normal((10, 4))
+    data[:5, 0] += 2.5
+    return _write_matrix(tmp_path / "data.csv", data)
+
+
+@pytest.fixture
+def wide_matrix(tmp_path):
+    """A 4x10 Gaussian matrix with a 1.0 shift on column 0."""
+    data = np.random.Generator(np.random.PCG64(3109)).standard_normal((4, 10))
+    data[:, 0] += 1.0
+    return _write_matrix(tmp_path / "wide.csv", data)
+
+
+def _run_test(path, stat, group, seed, capsys):
+    rc = cli.main(
+        ["test", "--data", str(path), "--stat", stat,
+         "--group", group, "--K", "19", "--alpha", "0.05", "--seed", str(seed)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ""
+    return captured.out
+
+
 class TestGoldenTestCommand:
     @pytest.mark.parametrize("group", sorted(GOLDEN_TEST_STDOUT))
     def test_stdout(self, group, golden_matrix, capsys):
         stat, expected = GOLDEN_TEST_STDOUT[group]
-        rc = cli.main(
-            ["test", "--data", str(golden_matrix), "--stat", stat,
-             "--group", group, "--K", "19", "--alpha", "0.05", "--seed", "3107"]
-        )
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert captured.out == expected
-        assert captured.err == ""
+        assert _run_test(golden_matrix, stat, group, 3107, capsys) == expected
+
+    def test_wide_rotation_stdout(self, wide_matrix, capsys):
+        out = _run_test(wide_matrix, "colmean_linf", "rotation", 3110, capsys)
+        assert out == GOLDEN_WIDE_ROTATION_STDOUT

@@ -14,7 +14,6 @@ from invartest.groups import (
     GroupElement,
     apply_action,
     compose,
-    identity_element,
     sample_haar_orthogonal,
     sample_permutation,
     sample_signflips,
@@ -149,12 +148,21 @@ class TestSphereImage:
             sample_sphere_image(np.ones((2, 2)), RngStream(1).generator())
 
 
+# the identity of each kind acting on a 5x3 matrix
+IDENTITIES = {
+    "signflip_rows": GroupElement("signflip_rows", np.ones(5)),
+    "permute_rows": GroupElement("permute_rows", np.arange(5)),
+    "rotate_full": GroupElement("rotate_full", np.eye(3)),
+    "rotate_per_column": GroupElement("rotate_per_column", (np.eye(5),) * 3),
+}
+
+
 class TestApplyAction:
     @pytest.mark.parametrize("kind", KINDS)
     def test_identity_is_exact(self, kind):
         gen = RngStream(41013).generator()
         x = gen.standard_normal((5, 3))
-        assert_array_equal(apply_action(identity_element(kind, n=5, p=3), x), x)
+        assert_array_equal(apply_action(IDENTITIES[kind], x), x)
 
     def test_all_minus_one_negates(self):
         x = RngStream(41014).generator().standard_normal((4, 2))
@@ -208,18 +216,18 @@ class TestCompose:
     def test_identity_is_neutral(self):
         gen = RngStream(41018).generator()
         g = sample_permutation(4, gen)
-        e = identity_element("permute_rows", n=4)
+        e = GroupElement("permute_rows", np.arange(4))
         assert_array_equal(compose(g, e).payload, g.payload)
         assert_array_equal(compose(e, g).payload, g.payload)
 
     def test_mixed_kinds_rejected(self):
-        g = identity_element("signflip_rows", n=3)
-        h = identity_element("permute_rows", n=3)
+        g = GroupElement("signflip_rows", np.ones(3))
+        h = GroupElement("permute_rows", np.arange(3))
         with pytest.raises(ValueError, match="compose"):
             compose(g, h)
 
     def test_continuous_kinds_rejected(self):
-        g = identity_element("rotate_full", p=3)
+        g = GroupElement("rotate_full", np.eye(3))
         with pytest.raises(ValueError, match="discrete"):
             compose(g, g)
 
@@ -259,9 +267,12 @@ class TestGroupAction:
         assert_array_equal(a, b)
 
 
-# A frozen copy of the one-element-at-a-time draw that GroupAction.randomize
-# made before the batched draw: randomize_batch must read the stream exactly
-# as K calls of it. A vector under rotate_per_column is one column here.
+# A frozen copy of the one-element-at-a-time draw: randomize_batch must read
+# the stream exactly as K calls of it. The signflip and rotate_full branches
+# are the per-element draw GroupAction.randomize made before the batched
+# draw; the permute_rows and rotate_per_column branches are the two-sample
+# and lowrank power-study kernels' expressions, one element at a time. A
+# vector under rotate_per_column is one column here.
 
 def _loop_sphere_image(x, gen):
     radius = float(np.linalg.norm(x))
@@ -289,7 +300,7 @@ def _loop_randomize(kind, arr, gen):
         signs = (gen.integers(0, 2, size=arr.shape[0]) * 2 - 1).astype(float)
         return signs * arr if arr.ndim == 1 else signs[:, None] * arr
     if kind == "permute_rows":
-        return arr[gen.permutation(arr.shape[0])]
+        return arr[np.argsort(gen.random(arr.shape[0]))]
     if kind == "rotate_full":
         if arr.ndim == 1:
             return _loop_sphere_image(arr, gen)
@@ -297,10 +308,11 @@ def _loop_randomize(kind, arr, gen):
             return _loop_sphere_image(arr[0], gen)[None, :]
         return arr @ _loop_haar(arr.shape[1], gen).T
     cols = arr[:, None] if arr.ndim == 1 else arr
-    out = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        out[:, j] = _loop_sphere_image(cols[:, j], gen)
-    return out.reshape(arr.shape)
+    z = gen.standard_normal(cols.shape)
+    norms = np.linalg.norm(z, axis=0, keepdims=True)
+    z /= np.where(norms > 0.0, norms, 1.0)
+    z *= np.linalg.norm(cols, axis=0)[None, :]
+    return z.reshape(arr.shape)
 
 
 def _action_for(kind, arr):
