@@ -100,6 +100,20 @@ def _resolve_seed(flag_seed, config_seed) -> int:
 _TOP_LEVEL_KEYS = {"scenario", "out", "seed", "workers"}
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: not a float (2.0 included) and not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_integers(values: dict) -> None:
+    """Raise a UsageError naming the first key whose value is set but not
+    an integer."""
+    for key, value in values.items():
+        if value is not None and not _is_int(value):
+            raise UsageError(f"config key {key!r} must be an integer, "
+                             f"got {json.dumps(value)}")
+
+
 def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dict]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -125,7 +139,8 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
         raise UsageError(f"unknown scenario name {name!r}; "
                          f"choose from {', '.join(exp.SCENARIOS)}")
     factory = exp._CONFIG_FACTORIES[name]
-    allowed = set(inspect.signature(factory).parameters) | {"name"}
+    params = inspect.signature(factory, eval_str=True).parameters
+    allowed = set(params) | {"name"}
     unknown = set(section) - allowed
     if unknown:
         raise UsageError(f"unknown config key: {sorted(unknown)[0]!r} "
@@ -134,12 +149,15 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
         raise UsageError("scenario section is missing required key 'alpha'")
     if "seed" in section and doc.get("seed") is not None:
         raise UsageError("seed given both at top level and in the scenario section")
-    seed = _resolve_seed(flag_seed, section.get("seed", doc.get("seed")))
+    config_seed = section.get("seed", doc.get("seed"))
+    _check_integers({"seed": config_seed, "workers": doc.get("workers")})
+    seed = _resolve_seed(flag_seed, config_seed)
     kwargs = {k: v for k, v in section.items() if k not in ("name", "seed")}
+    _check_integers({k: v for k, v in kwargs.items() if params[k].annotation is int})
     for key in ("ks", "dfs"):
         if key in kwargs:
-            if not isinstance(kwargs[key], list):
-                raise UsageError(f"config key {key!r} must be a list, "
+            if not (isinstance(kwargs[key], list) and all(map(_is_int, kwargs[key]))):
+                raise UsageError(f"config key {key!r} must be a list of integers, "
                                  f"got {json.dumps(kwargs[key])}")
             kwargs[key] = tuple(kwargs[key])
     try:

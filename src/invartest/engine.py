@@ -1,5 +1,10 @@
-"""The randomization test: order-statistic rule, p-values, the exhaustive
-full-group oracle, and nuisance projection.
+"""The randomization test: the orbit values, order-statistic rule, p-values,
+the exhaustive full-group oracle, and nuisance projection.
+
+``orbit_values`` evaluates a statistic that declares a summary g(W X) on
+weighted row sums, which signflips and permutations reach through acted
+weights and rotate_full through rotated sums; any other statistic, and
+rotate_per_column, on the K images.
 
 The decision rule follows the strict-inequality convention: reject when the
 observed statistic strictly exceeds the k-th smallest value of the multiset
@@ -19,7 +24,7 @@ import numpy as np
 
 from .groups import GroupAction
 from .numerics import RngStream, as_generator, as_matrix
-from .statistics import TestStatistic
+from .statistics import TestStatistic, weighted_rows
 
 __all__ = [
     "RandTestConfig",
@@ -29,6 +34,7 @@ __all__ = [
     "decide",
     "decide_stopping",
     "p_value_from_counts",
+    "orbit_values",
     "run_randomization_test",
     "run_max_test",
     "brute_force_full_group_test",
@@ -130,6 +136,59 @@ def all_sign_patterns(n: int) -> np.ndarray:
     return 1.0 - 2.0 * bits.astype(float)
 
 
+def orbit_values(
+    x,
+    f: TestStatistic,
+    action: GroupAction,
+    K: int,
+    rng: RngStream | np.random.Generator,
+) -> tuple[float, np.ndarray]:
+    """t0 = f(X) and the values f(G_1 X), ..., f(G_K X) of K iid group
+    elements.
+
+    A statistic with a summary f(X) = g(W X) is evaluated on row sums, not on
+    images: under signflips and permutations, on the sums of the K acted
+    weights W G_k against X; under rotate_full on a matrix, on K rotations
+    of the sums W X, whose law is that of the sums of K rotated images (a
+    one-row W X maps to uniform points on its sphere). t0 is g on the
+    identity's row W X, computed by the same expression, so an element that
+    leaves the sums unchanged ties with t0 exactly. Other statistics and
+    rotate_per_column evaluate f on the K images.
+
+    The K values are drawn in row blocks of at most ``_BLOCK_VALUES``
+    values, which bounds memory. Each block is a prefix of the rest of the
+    stream, so the values do not depend on the block size.
+    """
+    gen = as_generator(rng)
+    reduced = f.summary is not None and (
+        action.kind in ("signflip_rows", "permute_rows")
+        or (action.kind == "rotate_full" and np.ndim(x) == 2))
+    if reduced:
+        arr = as_matrix(x)
+        s = f.summary(arr.shape[0])
+        sums = weighted_rows(s.w, arr)
+        t0 = float(s.g(sums[None])[0])
+        if action.kind == "rotate_full":
+            def draw(b):
+                return s.g(action.randomize_batch(sums, b, gen))
+        else:
+            def draw(b):
+                return s.g(weighted_rows(action.randomize_weights(s.w, b, gen), arr))
+        size = s.w.size + sums.size
+    else:
+        t0 = f(x)
+        arr = np.asarray(x, dtype=float)
+
+        def draw(b):
+            return f.values(action.randomize_batch(arr, b, gen))
+        size = arr.size
+    rows = max(1, _BLOCK_VALUES // max(size, 1))
+    randomized = np.concatenate([draw(min(rows, K - i)) for i in range(0, K, rows)])
+    if not (np.isfinite(t0) and np.all(np.isfinite(randomized))):
+        raise ValueError(f"statistic {f.name} returned non-finite value")
+    return t0, randomized
+
+
 def run_randomization_test(
     x,
     f: TestStatistic,
@@ -137,24 +196,15 @@ def run_randomization_test(
     cfg: RandTestConfig,
     rng: RngStream | np.random.Generator,
 ) -> RandTestOutcome:
-    """Sample K iid group elements, compare f(X) against the randomized orbit.
+    """Sample K iid group elements, compare f(X) against the randomized orbit
+    of ``orbit_values``.
 
-    The K images are drawn and evaluated in row blocks of at most
-    ``_BLOCK_VALUES`` values, which bounds memory. Each block is a prefix of
-    the rest of the stream, so the values do not depend on the block size.
     The identity enters the multiset exactly once, as the observed value
     itself. The reported p-value uses the >= convention, so reject and
     p_value <= alpha coincide only in the absence of ties. A test with
     k > K can never reject; it runs, with a RuntimeWarning.
     """
-    gen = as_generator(rng)
-    t0 = f(x)
-    arr = np.asarray(x, dtype=float)
-    rows = max(1, _BLOCK_VALUES // max(arr.size, 1))
-    randomized = np.concatenate([
-        f.values(action.randomize_batch(arr, min(rows, cfg.K - i), gen))
-        for i in range(0, cfg.K, rows)
-    ])
+    t0, randomized = orbit_values(x, f, action, cfg.K, rng)
     k = order_index(cfg.K, cfg.alpha)
     if k > cfg.K:
         warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "

@@ -14,14 +14,19 @@ column), the distributional identity O x =_d Z/||Z|| * ||x|| replaces the
 O(p^3) sample with an O(p) one, and a rotate_full on an n x p matrix with
 1 < n < p draws an n-frame of R^p instead of a p x p rotation.
 
+A statistic of the row sums W X needs no images under the discrete kinds:
+``GroupAction.randomize_weights`` returns the acted weights W G, whose sums
+against X are those of the images G X.
+
 This module is the only place that reads a random stream for a group
 element. The helpers ``_signs``, ``_permutations``, ``_gaussian_rows`` and
 ``_column_sphere_images`` each fix one way of reading it: K sign vectors
 from one ``integers`` block, K permutations as the argsort of one ``random``
 block, and K images from one standard normal block. The samplers, the
-batched action, the power-study scenarios and the Monte Carlo bounds all
-call them, so a K-row draw is the same values wherever it is made, and a
-draw of a rows followed by b rows equals one draw of a + b.
+batched action on data and on weights, the power-study scenarios and the
+Monte Carlo bounds all call them, so a K-row draw is the same values
+wherever it is made, and a draw of a rows followed by b rows equals one
+draw of a + b.
 """
 
 from __future__ import annotations
@@ -108,6 +113,31 @@ class GroupAction:
         """Draw a random element and return its image of ``x``: the first
         image of :meth:`randomize_batch` with K = 1."""
         return self.randomize_batch(x, 1, rng)[0]
+
+    def randomize_weights(
+        self, w, K: int, rng: RngStream | np.random.Generator
+    ) -> np.ndarray:
+        """Draw K iid signflips or permutations G_k and return the acted
+        weights W G_k of an m x n weight matrix W, stacked: shape (K, m, n).
+
+        (W G_k) X = W (G_k X), so a statistic of the row sums W X needs
+        these and not the images. The stream is read as
+        :meth:`randomize_batch` reads it, so the k-th acted weights belong
+        to its k-th image.
+        """
+        if self.kind not in ("signflip_rows", "permute_rows"):
+            raise ValueError(f"{self.kind} does not act on row weights")
+        gen = as_generator(rng)
+        w = np.asarray(w, dtype=float)
+        _check_acts_on(self.kind, self.n, w.T)  # G acts on the n rows of W^T
+        if self.kind == "signflip_rows":
+            return _signs(K, self.n, gen)[:, None, :] * w
+        perms = _permutations(K, self.n, gen)
+        # row i of the image is row perms[k, i] of X, so W G_k moves column
+        # i of W to column perms[k, i]
+        out = np.empty((K, *w.shape))
+        out[np.arange(K)[:, None], :, perms] = w.T
+        return out
 
     def randomize_batch(
         self, x, K: int, rng: RngStream | np.random.Generator

@@ -170,7 +170,14 @@ def sample_chi2(df: int, size, rng: RngStream | np.random.Generator) -> np.ndarr
     shape = (size,) if isinstance(size, int) else tuple(size)
     if float(df).is_integer() and df <= 16:
         z = gen.standard_normal((*shape, int(df)))
-        return np.sum(z * z, axis=-1)
+        if df >= 8:
+            return np.sum(z * z, axis=-1)
+        # np.sum adds fewer than 8 terms left to right, so this loop is
+        # bitwise it, and cheaper than a reduction over a short last axis
+        w = np.square(z[..., 0])
+        for i in range(1, int(df)):
+            w += np.square(z[..., i])
+        return w
     return 2.0 * gen.standard_gamma(df / 2.0, size=shape)
 
 

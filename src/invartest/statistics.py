@@ -4,6 +4,11 @@ Each statistic f comes with the constant psi in (0, 1] for which
 psi * f(a + b) <= f(a) + f(b); the consistency margins in the theory module
 depend on psi, so it travels with the statistic instead of being assumed.
 All shipped statistics are norms of linear images of the data, hence psi = 1.
+
+Two of them read X only through a few weighted row sums W X and declare that
+as a ``Summary``: colmean_linf (W = 1^T, the column sums) and twosample_diff
+(W = the two block indicators, the two block sums). A group element acts on
+the sums without forming its image, which is how the engine evaluates them.
 """
 
 from __future__ import annotations
@@ -16,7 +21,9 @@ import numpy as np
 from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
 __all__ = [
+    "Summary",
     "TestStatistic",
+    "weighted_rows",
     "stat_colmean_linf",
     "stat_linf",
     "stat_opnorm",
@@ -29,6 +36,40 @@ __all__ = [
 ]
 
 
+def weighted_rows(w, x) -> np.ndarray:
+    """The weighted row sums W X of weights ``w`` of shape (..., n) against
+    one n x q matrix ``x``, shape (..., q).
+
+    einsum adds the n terms of every sum in one order, whatever the stack of
+    weights around it, so a row has the same bits in any stack; ``w @ x``
+    lets BLAS block the sum differently by stack size.
+    """
+    w = np.asarray(w, dtype=float)
+    sums = np.einsum("ki,ij->kj", w.reshape(-1, w.shape[-1]), x)
+    return sums.reshape(*w.shape[:-1], x.shape[1])
+
+
+@dataclass(frozen=True)
+class Summary:
+    """f(X) = g(W X) for an n-row X: the statistic reads X only through the
+    m weighted row sums W X.
+
+    ``w`` is the m x n weight matrix W and ``g`` maps a (K, m, p) stack of
+    row sums to K values. A group element acts on the sums: for a signflip
+    or permutation G, W (G X) = (W G) X, the sums of the acted weights W G;
+    for a rotate_full O, W (X O^T) = (W X) O^T, a rotation of the sums.
+    """
+
+    w: np.ndarray
+    g: Callable[[np.ndarray], np.ndarray]
+
+    def values(self, images) -> np.ndarray:
+        """g on the row sums of every slice of a (K, n, p) image stack."""
+        k, n, p = images.shape
+        sums = weighted_rows(self.w, images.transpose(1, 0, 2).reshape(n, k * p))
+        return self.g(sums.reshape(-1, k, p).transpose(1, 0, 2))
+
+
 @dataclass(frozen=True)
 class TestStatistic:
     """A real-valued functional of a data matrix with its psi constant.
@@ -38,7 +79,10 @@ class TestStatistic:
     statistic on every slice of a stack along its leading axis at once. A
     custom ``batch`` must be bitwise equal to ``fn`` on every slice, or ties
     with t0 = fn(x) would break differently; each shipped ``fn`` is its
-    ``batch`` on a one-image stack.
+    ``batch`` on a one-image stack. ``summary``, when set, returns the
+    ``Summary`` of the statistic on an n-row matrix (raising if n does not
+    fit); ``fn`` must then be ``summary(n).g`` on the row sums
+    ``weighted_rows(summary(n).w, x)``, bitwise.
     """
 
     name: str
@@ -46,6 +90,7 @@ class TestStatistic:
     fn: Callable[[np.ndarray], float]
     sample_shape: tuple[int, ...]
     batch: Callable[[np.ndarray], np.ndarray] | None = None
+    summary: Callable[[int], Summary] | None = None
 
     __test__ = False  # not a test case despite the Test* name
 
@@ -87,8 +132,14 @@ def stat_colmean_linf(x) -> float:
     return float(batch_colmean_linf([x])[0])
 
 
+def colmean_summary(n: int) -> Summary:
+    """W = 1^T, the column sums s, and g(s) = max_j |s_j| / n."""
+    return Summary(np.ones((1, n)), lambda s: np.max(np.abs(s[:, 0]), axis=1) / n)
+
+
 def batch_colmean_linf(images) -> np.ndarray:
-    return np.max(np.abs(_stack(images, as_matrix, "X").mean(axis=1)), axis=1)
+    a = _stack(images, as_matrix, "X")
+    return colmean_summary(a.shape[1]).values(a)
 
 
 def stat_linf(x) -> float:
@@ -157,20 +208,31 @@ def stat_twosample_diff(x, n: int, n_prime: int, norm: str = "linf") -> float:
     return float(batch_twosample_diff([x], n, n_prime, norm)[0])
 
 
-def batch_twosample_diff(images, n: int, n_prime: int, norm: str = "linf") -> np.ndarray:
-    a = _stack(images, as_matrix, "X")
-    if a.shape[1] != n + n_prime:
-        raise ValueError(
-            f"stacked matrix has {a.shape[1]} rows, expected n + n' = {n + n_prime}"
-        )
+def twosample_summary(rows: int, n: int, n_prime: int, norm: str = "linf") -> Summary:
+    """W = the indicators of the first n and the last n' rows, the block
+    sums a and b, and g = the norm of a/n - b/n'."""
+    if rows != n + n_prime:
+        raise ValueError(f"stacked matrix has {rows} rows, expected n + n' = {n + n_prime}")
     if n < 1 or n_prime < 1:
         raise ValueError("both sample sizes must be >= 1")
-    diff = a[:, :n].mean(axis=1) - a[:, n:].mean(axis=1)
-    if norm == "linf":
-        return np.max(np.abs(diff), axis=1)
-    if norm == "l2":
+    if norm not in ("linf", "l2"):
+        raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
+    w = np.zeros((2, rows))
+    w[0, :n] = 1.0
+    w[1, n:] = 1.0
+
+    def g(sums):
+        diff = sums[:, 0] / n - sums[:, 1] / n_prime
+        if norm == "linf":
+            return np.max(np.abs(diff), axis=1)
         return np.sqrt(np.vecdot(diff, diff))  # bitwise the 1d np.linalg.norm
-    raise ValueError(f"norm must be 'linf' or 'l2', got {norm!r}")
+
+    return Summary(w, g)
+
+
+def batch_twosample_diff(images, n: int, n_prime: int, norm: str = "linf") -> np.ndarray:
+    a = _stack(images, as_matrix, "X")
+    return twosample_summary(a.shape[1], n, n_prime, norm).values(a)
 
 
 def check_psi_subadditive(
@@ -208,7 +270,7 @@ def make_statistic(name: str, **params) -> TestStatistic:
     shape = params.pop("sample_shape", None)
     if name == "colmean_linf":
         return TestStatistic("colmean_linf", 1.0, stat_colmean_linf, shape or (8, 5),
-                             batch_colmean_linf)
+                             batch_colmean_linf, colmean_summary)
     if name == "linf":
         return TestStatistic("linf", 1.0, stat_linf, shape or (12,), batch_linf)
     if name == "opnorm":
@@ -252,6 +314,7 @@ def make_statistic(name: str, **params) -> TestStatistic:
             lambda x: stat_twosample_diff(x, n, n_prime, norm),
             shape or (n + n_prime, 1),
             lambda xs: batch_twosample_diff(xs, n, n_prime, norm),
+            lambda rows: twosample_summary(rows, n, n_prime, norm),
         )
     raise ValueError(f"unknown statistic {name!r}")
 

@@ -29,6 +29,7 @@ from .engine import (
     RandTestConfig,
     all_sign_patterns,
     count_below,
+    orbit_values,
     run_max_test,
     run_randomization_test,
 )
@@ -237,8 +238,7 @@ def _check_exchangeability(stream: RngStream, budget: dict) -> CheckResult:
         cells = np.zeros(K + 1, dtype=np.int64)
         for _ in range(reps):
             x = sample_noise(entry.noise, gen)
-            t0 = entry.statistic(x)
-            vals = entry.statistic.values(entry.action.randomize_batch(x, K, gen))
+            t0, vals = orbit_values(x, entry.statistic, entry.action, K, gen)
             cells[count_below(t0, vals)] += 1
         expected = reps / (K + 1)
         chi2 = float(np.sum((cells - expected) ** 2 / expected))

@@ -12,17 +12,20 @@ from invartest import cli
 from invartest.experiments import PowerCurve
 
 
+TWO_SAMPLE = {
+    "name": "two_sample",
+    "alpha": 0.05,
+    "grid_points": 2,
+    "replicates": 30,
+    "K": 19,
+    "n": 8,
+    "n2": 8,
+}
+
+
 def write_config(tmp_path, name="config.json", **overrides):
     doc = {
-        "scenario": {
-            "name": "two_sample",
-            "alpha": 0.05,
-            "grid_points": 2,
-            "replicates": 30,
-            "K": 19,
-            "n": 8,
-            "n2": 8,
-        },
+        "scenario": dict(TWO_SAMPLE),
         "seed": 4242,
         "workers": 1,
     }
@@ -447,6 +450,34 @@ class TestSimulateSubcommand:
         assert rc == 2
         key = "ks" if "ks" in scenario else "dfs"
         assert err.startswith("error:") and repr(key) in err
+
+
+    @pytest.mark.parametrize("key, overrides", [
+        ("replicates", {"scenario": {**TWO_SAMPLE, "replicates": 10.5}}),
+        ("replicates", {"scenario": {**TWO_SAMPLE, "replicates": 2.0}}),
+        ("replicates", {"scenario": {**TWO_SAMPLE, "replicates": True}}),
+        ("grid_points", {"scenario": {**TWO_SAMPLE, "grid_points": 2.0}}),
+        ("K", {"scenario": {**TWO_SAMPLE, "K": 19.0}}),
+        ("n2", {"scenario": {**TWO_SAMPLE, "n2": False}}),
+        ("design_seed", {"scenario": {"name": "regression", "alpha": 0.05,
+                                      "design_seed": 1.5}}),
+        ("ks", {"scenario": {"name": "sparse_vector", "alpha": 0.05, "ks": [19.0]}}),
+        ("ks", {"scenario": {"name": "sparse_vector", "alpha": 0.05, "ks": [19, True]}}),
+        ("dfs", {"scenario": {"name": "heavy_tail", "alpha": 0.05, "dfs": [3, 2.5]}}),
+        ("seed", {"seed": 1.7}),
+        ("seed", {"seed": 2.0}),
+        ("seed", {"seed": None, "scenario": {**TWO_SAMPLE, "seed": True}}),
+        ("workers", {"workers": 2.5}),
+        ("workers", {"workers": True}),
+    ])
+    def test_non_integer_named(self, tmp_path, capsys, key, overrides):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and repr(key) in err
+        assert not out.exists()
 
 
 class TestTopLevel:

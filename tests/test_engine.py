@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import stats
 
-from invartest import engine
+from invartest import engine, groups
 from invartest.engine import (
     RandTestConfig,
     all_sign_patterns,
@@ -19,13 +20,14 @@ from invartest.engine import (
     count_below,
     decide,
     decide_stopping,
+    orbit_values,
     order_index,
     p_value_from_counts,
     project_out_nuisance,
     run_max_test,
     run_randomization_test,
 )
-from invartest.groups import GroupAction
+from invartest.groups import GroupAction, apply_action
 from invartest.numerics import RngStream
 from invartest.statistics import TestStatistic, make_statistic
 
@@ -406,3 +408,103 @@ class TestBlockedDraw:
         assert blocked.randomized.tobytes() == whole.randomized.tobytes()
         assert (blocked.t0, blocked.k, blocked.reject, blocked.p_value) == (
             whole.t0, whole.k, whole.reject, whole.p_value)
+
+
+@st.composite
+def _reduced_case(draw):
+    """A discrete group, a statistic that declares a summary, and its input."""
+    kind = draw(st.sampled_from(["signflip_rows", "permute_rows"]), label="kind")
+    p = draw(st.integers(1, 12), label="p")
+    if draw(st.booleans(), label="twosample"):
+        n1 = draw(st.integers(1, 8), label="n1")
+        n2 = draw(st.integers(1, 8), label="n2")
+        norm = draw(st.sampled_from(["linf", "l2"]), label="norm")
+        stat = make_statistic("twosample_diff", n=n1, n_prime=n2, norm=norm)
+        n = n1 + n2
+    else:
+        n = draw(st.integers(1, 16), label="n")
+        stat = make_statistic("colmean_linf")
+    shape = (n,) if draw(st.booleans(), label="vector") else (n, p)
+    return GroupAction(kind, n=n), stat, shape
+
+
+# derandomized, so that every run of the suite checks the same examples
+class TestReducedOrbit:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=_reduced_case(), K=st.integers(1, 60), ties=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_image_path(self, case, K, ties, seed):
+        action, stat, shape = case
+        x = np.random.default_rng(seed).standard_normal(shape) * 3.0
+        if ties:
+            x = np.round(x)
+        t0, values = orbit_values(x, stat, action, K, RngStream(seed, 1))
+        gen = RngStream(seed, 1).generator()
+        images = stat.values(action.randomize_batch(x, K, gen))
+        assert t0 == stat(x)
+        assert_allclose(values, images, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("norm", ["linf", "l2"])
+    def test_within_half_permutations_tie_with_t0(self, monkeypatch, norm):
+        # a permutation of the rows within each half leaves both block sums,
+        # hence the statistic, unchanged; the test must see an exact tie
+        draw = groups._permutations
+
+        def within_halves(K, n, gen):
+            return np.hstack([draw(K, 5, gen), 5 + draw(K, 5, gen)])
+
+        monkeypatch.setattr(groups, "_permutations", within_halves)
+        f = make_statistic("twosample_diff", n=5, n_prime=5, norm=norm)
+        action = GroupAction("permute_rows", n=10)
+        for seed in range(40):
+            x = RngStream(61020, seed).generator().standard_normal((10, 2))
+            out = run_randomization_test(x, f, action, RandTestConfig(K=99, alpha=0.05),
+                                         RngStream(61021, seed))
+            assert out.t0 == f(x)
+            assert_array_equal(out.randomized, np.full(99, out.t0))
+            assert out.reject is False and out.p_value == 1.0
+
+    @pytest.mark.parametrize("shape", [(6, 5), (1, 7), (3, 8), (40, 3)])
+    def test_rotate_full_colmean_is_linf_of_the_column_means(self, shape):
+        x = RngStream(61022).generator().standard_normal(shape)
+        action = GroupAction("rotate_full", p=shape[1])
+        cfg = RandTestConfig(K=50, alpha=0.1)
+        by_matrix = run_randomization_test(x, make_statistic("colmean_linf"), action, cfg,
+                                           RngStream(61023))
+        by_means = run_randomization_test(x.mean(axis=0), make_statistic("linf"), action,
+                                          cfg, RngStream(61023))
+        assert by_matrix.t0 == pytest.approx(by_means.t0, rel=1e-12)
+        assert_allclose(by_matrix.randomized, by_means.randomized, rtol=1e-12)
+
+    @pytest.mark.parametrize("action, stat, shape", [
+        (GroupAction("signflip_rows", n=6), make_statistic("colmean_linf"), (6, 5)),
+        (GroupAction("permute_rows", n=7),
+         make_statistic("twosample_diff", n=3, n_prime=4, norm="l2"), (7, 3)),
+        (GroupAction("rotate_full", p=5), make_statistic("colmean_linf"), (6, 5)),
+        (GroupAction("rotate_full", p=8), make_statistic("colmean_linf"), (3, 8)),
+        (GroupAction("rotate_full", p=6),
+         make_statistic("twosample_diff", n=2, n_prime=2), (4, 6)),
+        # a vector is rotated whole, so it keeps the image path
+        (GroupAction("rotate_full", p=9), make_statistic("colmean_linf"), (9,)),
+    ], ids=["signflip", "permutation", "rotate_tall", "rotate_wide", "rotate_twosample",
+            "rotate_vector"])
+    def test_matches_eager_elements_in_law(self, action, stat, shape):
+        draws = 2000
+        x = RngStream(61024).generator().standard_normal(shape)
+        _, reduced = orbit_values(x, stat, action, draws, RngStream(61025))
+        gen = RngStream(61026).generator()
+        eager = [stat(apply_action(action.sample(gen), x)) for _ in range(draws)]
+        assert stats.ks_2samp(reduced, eager).pvalue > 1e-3
+
+    def test_shape_checks_kept(self):
+        f = make_statistic("colmean_linf")
+        cfg = RandTestConfig(K=5, alpha=0.2)
+        with pytest.raises(ValueError, match="signflip of size 4 cannot act on 3 rows"):
+            run_randomization_test(np.ones((3, 2)), f, GroupAction("signflip_rows", n=4),
+                                   cfg, RngStream(1))
+        with pytest.raises(ValueError, match="rotation of size 4 cannot act on 2 columns"):
+            run_randomization_test(np.ones((3, 2)), f, GroupAction("rotate_full", p=4),
+                                   cfg, RngStream(1))
+        with pytest.raises(ValueError, match="non-finite"):
+            run_randomization_test(np.full((3, 2), np.inf), f,
+                                   GroupAction("signflip_rows", n=3), cfg, RngStream(1))

@@ -1,5 +1,5 @@
-"""Golden outputs: the exact bytes of a small power study per scenario and
-the exact stdout of ``invartest test`` per group kind.
+"""Golden outputs: the exact bytes of a small power study per scenario, the
+exact stdout of ``invartest test`` per group kind, and one engine outcome.
 
 Any change to how streams are consumed, to a quantile function or to a
 decision rule shows up here. A change that alters these bytes on purpose
@@ -7,13 +7,22 @@ records new digests and says so in CHANGES.md.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import invartest
 from invartest import cli
 from invartest import experiments as exp
+from invartest.engine import RandTestConfig, run_randomization_test
+from invartest.groups import GroupAction
+from invartest.numerics import RngStream
+from invartest.statistics import TestStatistic
 
 # small fixed configs whose grids sit where the power curves rise, so that
 # most cells are neither 0 nor all replicates
@@ -65,13 +74,34 @@ def _data_rows(csv: str) -> str:
     return "".join(ln + "\n" for ln in csv.splitlines() if not ln.startswith("#"))
 
 
+def csv_digest(scenario: str) -> str:
+    csv = exp.run_experiment(GOLDEN_CONFIGS[scenario]()).to_csv()
+    if scenario == "regression":
+        csv = _data_rows(csv)
+    return hashlib.sha256(csv.encode()).hexdigest()
+
+
+_DIGESTS_SCRIPT = (
+    "import json, test_golden as g; "
+    "print(json.dumps({s: g.csv_digest(s) for s in g.GOLDEN_CONFIGS}))"
+)
+
+
 class TestGoldenPowerCurves:
     @pytest.mark.parametrize("scenario", sorted(GOLDEN_CONFIGS))
     def test_csv_digest(self, scenario):
-        csv = exp.run_experiment(GOLDEN_CONFIGS[scenario]()).to_csv()
-        if scenario == "regression":
-            csv = _data_rows(csv)
-        assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SHA256[scenario]
+        assert csv_digest(scenario) == GOLDEN_SHA256[scenario]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_digests_do_not_depend_on_blas_threads(self, threads):
+        # a fresh interpreter, since OpenBLAS reads its thread count at load
+        paths = [os.path.dirname(os.path.dirname(invartest.__file__)),
+                 os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        result = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT], env=env,
+                                capture_output=True, text=True, check=True, timeout=600)
+        assert json.loads(result.stdout) == GOLDEN_SHA256
 
     def test_regression_notes(self):
         notes = exp.run_experiment(GOLDEN_CONFIGS["regression"]()).notes
@@ -100,7 +130,7 @@ GOLDEN_TEST_STDOUT = {
         "colmean_linf",
         _TEST_PREAMBLE.format(stat="colmean_linf", group="rotation")
         + "t0 = 1.1290175013620352\n" + _K_LINE
-        + "reject = True\np_value = 0.050000000000000003\n",
+        + "reject = False\np_value = 0.10000000000000001\n",
     ),
     "rotation_per_column": (
         "opnorm",
@@ -111,12 +141,13 @@ GOLDEN_TEST_STDOUT = {
 }
 
 
-# rotate_full on a 4x10 matrix (1 < n < p) draws Stiefel frames of R^10
-# rather than 10x10 rotations; nothing above reaches that path
+# colmean_linf under rotate_full on a 4x10 matrix rotates the column sums
+# (uniform points on a sphere of R^10); the pin below on the same matrix
+# takes the Stiefel path
 GOLDEN_WIDE_ROTATION_STDOUT = (
     "data 4x10, statistic colmean_linf, group rotation, K=19, alpha=0.05, seed 3110\n"
     "t0 = 1.7888045613273236\n" + _K_LINE
-    + "reject = False\np_value = 0.14999999999999999\n"
+    + "reject = True\np_value = 0.050000000000000003\n"
 )
 
 
@@ -164,3 +195,23 @@ class TestGoldenTestCommand:
     def test_wide_rotation_stdout(self, wide_matrix, capsys):
         out = _run_test(wide_matrix, "colmean_linf", "rotation", 3110, capsys)
         assert out == GOLDEN_WIDE_ROTATION_STDOUT
+
+
+# rotate_full on a 4x10 matrix with a statistic that declares no summary,
+# so the engine draws Stiefel frames of R^10 and evaluates full images:
+# (t0, k, reject, p-value, sha256 of the K randomized values' bytes)
+GOLDEN_STIEFEL_OUTCOME = (
+    2.01413936527815, 19, False, 0.15,
+    "fd551064cd7f40ada09c83e0e5cafbc4742d90cdeadcee72481c192a8b9f28f3",
+)
+
+
+class TestGoldenEngine:
+    def test_stiefel_outcome(self):
+        x = np.random.Generator(np.random.PCG64(3109)).standard_normal((4, 10))
+        x[:, 0] += 1.0
+        corner = TestStatistic("abs_x00", 1.0, lambda y: abs(y[0, 0]), (4, 10))
+        out = run_randomization_test(x, corner, GroupAction("rotate_full", p=10),
+                                     RandTestConfig(19, 0.05), RngStream(3111))
+        digest = hashlib.sha256(out.randomized.tobytes()).hexdigest()
+        assert (out.t0, out.k, out.reject, out.p_value, digest) == GOLDEN_STIEFEL_OUTCOME

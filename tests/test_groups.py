@@ -423,6 +423,39 @@ class TestShapeChecks:
             action.randomize_batch(x, 4, RngStream(1).generator())
 
 
+class TestRandomizeWeights:
+    # with X = I the images are the elements themselves, so W times them is
+    # W G_k; small integer weights keep every product and sum exact (up to
+    # the sign of a zero)
+    @pytest.mark.parametrize("kind", ["signflip_rows", "permute_rows"])
+    @pytest.mark.parametrize("n, m, K", [(1, 1, 3), (6, 1, 20), (7, 2, 20), (10, 3, 5)])
+    def test_weights_of_the_batch_elements(self, kind, n, m, K):
+        action = GroupAction(kind, n=n)
+        w = RngStream(41020).generator().integers(-3, 4, (m, n)).astype(float)
+        acted = action.randomize_weights(w, K, RngStream(41021).generator())
+        elements = action.randomize_batch(np.eye(n), K, RngStream(41021).generator())
+        assert acted.shape == (K, m, n)
+        assert_array_equal(acted, w @ elements)
+
+    def test_reads_the_stream_as_randomize_batch(self):
+        action = GroupAction("permute_rows", n=5)
+        a, b = RngStream(41022).generator(), RngStream(41022).generator()
+        action.randomize_weights(np.ones((1, 5)), 9, a)
+        action.randomize_batch(np.ones(5), 9, b)
+        assert a.random() == b.random()
+
+    def test_continuous_kinds_refused(self):
+        for action in (GroupAction("rotate_full", p=4),
+                       GroupAction("rotate_per_column", n=4, p=1)):
+            with pytest.raises(ValueError, match="does not act on row weights"):
+                action.randomize_weights(np.ones((1, 4)), 3, RngStream(1))
+
+    @pytest.mark.parametrize("kind", ["signflip_rows", "permute_rows"])
+    def test_size_checked(self, kind):
+        with pytest.raises(ValueError, match="of size 5 cannot act on 3 rows"):
+            GroupAction(kind, n=5).randomize_weights(np.ones((2, 3)), 4, RngStream(1))
+
+
 class TestRotatePerColumnVector:
     def test_vector_is_one_column(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])

@@ -19,6 +19,7 @@ from invartest.statistics import (
     stat_ols_linf,
     stat_opnorm,
     stat_twosample_diff,
+    weighted_rows,
 )
 
 
@@ -290,3 +291,48 @@ class TestBatchValues:
             stat(stack[0])
         with pytest.raises(ValueError, match=match):
             stat.values(stack)
+
+
+# derandomized, so that every run of the suite checks the same examples
+class TestSummary:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), q=st.integers(1, 120), K=st.integers(1, 60),
+           m=st.integers(1, 3), weights=st.sampled_from(["signs", "blocks", "gaussian"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_row_is_bitwise_the_row_alone(self, n, q, K, m, weights, seed):
+        gen = np.random.default_rng(seed)
+        x = gen.standard_normal((n, q)) * 3.0
+        if weights == "signs":
+            w = gen.integers(0, 2, (K, m, n)) * 2.0 - 1.0
+        elif weights == "blocks":
+            w = (gen.random((K, m, n)) < 0.5) * 1.0
+        else:
+            w = gen.standard_normal((K, m, n))
+        sums = weighted_rows(w, x)
+        assert sums.shape == (K, m, q)
+        k = int(gen.integers(K))
+        assert sums[k].tobytes() == weighted_rows(w[k], x).tobytes()
+        assert sums[k, -1].tobytes() == weighted_rows(w[k, -1], x).tobytes()
+        assert sums[:k + 1].tobytes() == weighted_rows(w[:k + 1], x).tobytes()
+
+    @pytest.mark.parametrize("stat, direct", [
+        (make_statistic("colmean_linf"), lambda x: np.max(np.abs(x.mean(axis=0)))),
+        (make_statistic("twosample_diff", n=3, n_prime=4),
+         lambda x: np.max(np.abs(x[:3].mean(axis=0) - x[3:].mean(axis=0)))),
+        (make_statistic("twosample_diff", n=5, n_prime=2, norm="l2"),
+         lambda x: np.linalg.norm(x[:5].mean(axis=0) - x[5:].mean(axis=0))),
+    ], ids=["colmean_linf", "twosample_linf", "twosample_l2"])
+    @pytest.mark.parametrize("p", [1, 2, 5, 33])
+    def test_fn_is_g_of_the_row_sums(self, stat, direct, p):
+        x = RngStream(51020).generator().standard_normal((7, p))
+        s = stat.summary(7)
+        assert stat(x) == s.g(weighted_rows(s.w[None], x))[0]
+        assert stat(x) == pytest.approx(direct(x), rel=1e-14)
+
+    def test_twosample_summary_checks_the_rows(self):
+        with pytest.raises(ValueError, match="rows"):
+            make_statistic("twosample_diff", n=2, n_prime=3).summary(4)
+
+    def test_only_row_sum_statistics_declare_one(self):
+        declared = {s.name for s in shipped_statistics() if s.summary is not None}
+        assert declared == {"colmean_linf", "twosample_diff_linf", "twosample_diff_l2"}
