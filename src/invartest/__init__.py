@@ -36,7 +36,7 @@ from .groups import (
     sample_signflips,
     sample_sphere_image,
 )
-from .noise import NoiseSpec, SignalSpec, build_signal, sample_noise
+from .noise import NoiseSpec, sample_noise
 from .numerics import (
     RngStream,
     normal_cdf,
@@ -44,7 +44,6 @@ from .numerics import (
     operator_norm,
     pseudo_inverse,
     qr_orthonormalize,
-    student_t_cdf,
     student_t_quantile,
 )
 from .statistics import (
@@ -80,13 +79,11 @@ __all__ = [
     "RandTestOutcome",
     "RngStream",
     "ScenarioConfig",
-    "SignalSpec",
     "TestStatistic",
     "apply_action",
     "bernoulli_bound_design",
     "bernoulli_bound_regression",
     "brute_force_full_group_test",
-    "build_signal",
     "check_psi_subadditive",
     "chi2_shift_gaussian",
     "compose",
@@ -112,7 +109,6 @@ __all__ = [
     "sample_sphere_image",
     "shipped_statistics",
     "sparse_vector_config",
-    "student_t_cdf",
     "student_t_quantile",
     "tau_star_sparse",
     "two_sample_config",

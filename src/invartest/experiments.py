@@ -33,6 +33,7 @@ from .engine import decide, decide_stopping, order_index
 from .groups import _column_sphere_images, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_quantile, pseudo_inverse, student_t_quantile
+from .statistics import opnorm_against
 from .theory import (
     ConsistencyInputs,
     bernoulli_bound_design,
@@ -502,9 +503,9 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
     for meth, gen in methods:
         def orbit(b):
             # row blocks of the column images are prefixes of one draw of
-            # all K, so stopping early leaves every drawn value as it was
-            images = _column_sphere_images(x, b, gen)
-            return np.linalg.svd(images, compute_uv=False)[:, 0]
+            # all K, so stopping early leaves every drawn value as it was;
+            # decide_stopping counts only which side of t0 each value lies on
+            return opnorm_against(_column_sphere_images(x, b, gen), t0)
         yield decide_stopping(t0, orbit, meth.K, meth.k)
 
 

@@ -1,4 +1,4 @@
-"""Noise families and deterministic signal constructors.
+"""Noise families.
 
 The families cover exactly what the scenarios need: iid entries (normal,
 Student t, Cauchy), spherically contoured rows (uniform direction times a
@@ -16,12 +16,11 @@ import numpy as np
 
 from .numerics import RngStream, as_generator, sample_chi2, sample_f
 
-__all__ = ["NoiseSpec", "SignalSpec", "sample_noise", "build_signal"]
+__all__ = ["NoiseSpec", "sample_noise"]
 
 FAMILIES = ("iid_normal", "iid_student", "iid_cauchy", "spherical",
             "heteroskedastic_sign_symmetric")
 RADIAL_LAWS = ("normal", "student", "cauchy")
-SIGNAL_SHAPES = ("sparse_vector", "rank_one", "regression_beta")
 
 
 @dataclass(frozen=True)
@@ -68,38 +67,6 @@ class NoiseSpec:
                 raise ValueError(f"base law needs df > 0, got {self.df}")
 
 
-@dataclass(frozen=True)
-class SignalSpec:
-    """A deterministic signal: sparse vector, rank-one matrix, or
-    regression coefficient vector.
-
-    ``support`` holds 1-based coordinate indices. For rank_one, the signal is
-    sqrt(n/2) * tau * outer(u, v) with u of length n and v of length p.
-    """
-
-    shape: str
-    mu: float = 0.0
-    tau: float = 0.0
-    support: tuple[int, ...] = (1,)
-    p: int | None = None
-    u: tuple[float, ...] | None = None
-    v: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.shape not in SIGNAL_SHAPES:
-            raise ValueError(f"unknown signal shape {self.shape!r}")
-        if self.shape in ("sparse_vector", "regression_beta"):
-            if self.p is None or self.p < 1:
-                raise ValueError(f"{self.shape} needs p >= 1")
-            for idx in self.support:
-                if not 1 <= idx <= self.p:
-                    raise ValueError(
-                        f"support index {idx} outside 1..{self.p}"
-                    )
-        if self.shape == "rank_one" and (self.u is None or self.v is None):
-            raise ValueError("rank_one needs u and v")
-
-
 def sample_noise(spec: NoiseSpec, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Draw one n x p noise matrix from the spec's family."""
     gen = as_generator(rng)
@@ -134,22 +101,3 @@ def _student_entries(n: int, p: int, df: float, gen: np.random.Generator) -> np.
     w = sample_chi2(df, (n, p), gen) if float(df).is_integer() else \
         2.0 * gen.standard_gamma(df / 2.0, size=(n, p))
     return z / np.sqrt(w / df)
-
-
-def build_signal(spec: SignalSpec) -> np.ndarray:
-    """Materialize the deterministic signal described by the spec."""
-    if spec.shape == "sparse_vector":
-        s = np.zeros(spec.p)
-        for idx in spec.support:
-            s[idx - 1] = spec.mu
-        return s
-    if spec.shape == "regression_beta":
-        beta = np.zeros(spec.p)
-        for idx in spec.support:
-            beta[idx - 1] = spec.tau
-        return beta
-    u = np.asarray(spec.u, dtype=float)
-    v = np.asarray(spec.v, dtype=float)
-    if u.ndim != 1 or v.ndim != 1:
-        raise ValueError("u and v must be vectors")
-    return np.sqrt(u.size / 2.0) * spec.tau * np.outer(u, v)

@@ -22,7 +22,6 @@ __all__ = [
     "normal_quantile",
     "normal_cdf",
     "student_t_quantile",
-    "student_t_cdf",
     "sample_chi2",
     "sample_f",
 ]
@@ -142,13 +141,6 @@ def normal_quantile(u: float) -> float:
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
     return float(special.ndtri(u))
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t with df degrees of freedom."""
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
-    return float(special.stdtr(df, t))
 
 
 def student_t_quantile(u: float, df: float) -> float:

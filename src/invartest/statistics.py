@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
@@ -27,6 +28,7 @@ __all__ = [
     "stat_colmean_linf",
     "stat_linf",
     "stat_opnorm",
+    "opnorm_against",
     "stat_kyfan",
     "stat_ols_linf",
     "stat_twosample_diff",
@@ -158,6 +160,72 @@ def stat_opnorm(x) -> float:
 
 def batch_opnorm(images) -> np.ndarray:
     return np.linalg.svd(_stack(images, as_matrix, "A"), compute_uv=False)[:, 0]
+
+
+_U = 2.0 ** -53  # unit roundoff of a double
+_SAFE = 2.0 ** 450  # t0 within [1/_SAFE, _SAFE], the Gram diagonal below _SAFE^2
+
+
+def opnorm_against(images, t0: float) -> np.ndarray:
+    """The largest singular value of each slice of ``images`` compared
+    against t0: -inf where ``batch_opnorm``'s value is below t0, +inf where
+    it is not, and that value itself in a near-tie. So ``values < t0`` is
+    ``batch_opnorm(images) < t0``, image by image.
+
+    For an n x p image A, with G = fl(A^T A): if a Cholesky factorisation
+    (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
+    else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
+    left between the two take the SVD, on their own stack, which gives each
+    the bits of ``batch_opnorm``.
+
+    Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
+    exact largest singular value of A and s the SVD's. Every rounding:
+
+    - Gram: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, in any
+      summation order, so the 2-norm error is at most n gamma_n sigma^2
+      (||A||_F^2 <= min(n, p) sigma^2).
+    - Shift: t0^2 (1 -+ delta) takes three roundings (gamma_3 relative) and
+      the diagonal subtraction one more, at most u (t0^2 + ||G||_2).
+    - Cholesky of the p x p M: success certifies that M + dM is positive
+      definite with ||dM||_2 <= p gamma_{p+1} ||M||_2 / (1 - p gamma_{p+1})
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+      Thm 10.3); failure certifies lambda_min(M) <= the same bound, by the
+      contrapositive of Demmel's condition (Thm 10.7).
+    - SVD: |s - sigma| <= n p u sigma (backward stable bidiagonalisation,
+      LAPACK's p(n, p) u, and Weyl's inequality).
+
+    Chained, a success at 1 - delta gives s^2 < t0^2, and a failure at
+    1 + delta gives s^2 >= t0^2, once delta exceeds the first-order sum
+    (n^2 + 2 p (p + 1) + 2 n p + 5) u <= 2 (n + p + 1)^2 u. The helper takes
+    delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11 at 50x50. The
+    second-order terms stay below the first-order ones while delta < 1e-3,
+    that is n + p < 5e5. With t0 in [2^-450, 2^450] and the Gram diagonal
+    at most 2^900, nothing overflows and an underflow costs at most 2^-1074
+    per operation, below 2^-121 u t0^2, which the slack in delta absorbs.
+    Any other t0, zero and negative ones included, or Gram, takes the SVD
+    for every image.
+    """
+    a = _stack(images, as_matrix, "A")
+    count, n, p = a.shape
+    with np.errstate(over="ignore"):  # an overflowing Gram takes the SVD
+        gram = a.mT @ a
+    if not (1.0 / _SAFE <= t0 <= _SAFE
+            and np.max(gram.diagonal(axis1=1, axis2=2)) <= _SAFE * _SAFE):
+        return batch_opnorm(a)
+    values = np.full(count, np.inf)
+    delta = 32.0 * (n + p + 1) ** 2 * _U
+    below = t0 * t0 * (1.0 - delta) * np.eye(p)
+    above = t0 * t0 * (1.0 + delta) * np.eye(p)
+    band = []
+    for i, g in enumerate(gram):
+        # the transpose is Fortran-ordered, so dpotrf works in place
+        if dpotrf((below - g).T, overwrite_a=True)[1] == 0:
+            values[i] = -np.inf
+        elif dpotrf((above - g).T, overwrite_a=True)[1] == 0:
+            band.append(i)
+    if band:
+        values[band] = batch_opnorm(a[band])
+    return values
 
 
 def stat_kyfan(x, kappa: int, zeta: float = 1.0) -> float:

@@ -1,11 +1,11 @@
-"""Unit tests for the noise samplers and signal constructors."""
+"""Unit tests for the noise samplers."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 from scipy import stats
 
-from invartest.noise import NoiseSpec, SignalSpec, build_signal, sample_noise
+from invartest.noise import NoiseSpec, sample_noise
 from invartest.numerics import RngStream
 
 
@@ -128,46 +128,3 @@ class TestNoiseSpecValidation:
     def test_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
             NoiseSpec("iid_normal", n=0, p=2)
-
-
-class TestBuildSignal:
-    def test_null_sparse_vector(self):
-        spec = SignalSpec("sparse_vector", mu=0.0, support=(1,), p=4)
-        assert_array_equal(build_signal(spec), np.zeros(4))
-
-    def test_sparse_vector_placement(self):
-        spec = SignalSpec("sparse_vector", mu=2.0, support=(1,), p=3)
-        assert_array_equal(build_signal(spec), [2.0, 0.0, 0.0])
-
-    def test_sparse_vector_multi_support(self):
-        spec = SignalSpec("sparse_vector", mu=-1.5, support=(2, 4), p=4)
-        assert_array_equal(build_signal(spec), [0.0, -1.5, 0.0, -1.5])
-
-    def test_support_out_of_range(self):
-        with pytest.raises(ValueError, match="support"):
-            SignalSpec("sparse_vector", mu=1.0, support=(5,), p=4)
-        with pytest.raises(ValueError, match="support"):
-            SignalSpec("sparse_vector", mu=1.0, support=(0,), p=4)
-
-    def test_rank_one_operator_norm(self):
-        n, p, tau = 16, 9, 0.7
-        u = np.zeros(n)
-        u[3] = 1.0
-        v = np.full(p, 1.0 / np.sqrt(p))
-        spec = SignalSpec("rank_one", tau=tau, u=tuple(u), v=tuple(v))
-        signal = build_signal(spec)
-        assert signal.shape == (n, p)
-        top_sv = np.linalg.svd(signal, compute_uv=False)[0]
-        assert top_sv == pytest.approx(np.sqrt(n / 2.0) * tau, abs=1e-10)
-
-    def test_rank_one_needs_factors(self):
-        with pytest.raises(ValueError, match="u and v"):
-            SignalSpec("rank_one", tau=1.0)
-
-    def test_regression_beta(self):
-        spec = SignalSpec("regression_beta", tau=3.0, support=(1,), p=5)
-        assert_array_equal(build_signal(spec), [3.0, 0.0, 0.0, 0.0, 0.0])
-
-    def test_unknown_shape(self):
-        with pytest.raises(ValueError, match="shape"):
-            SignalSpec("spike_train", mu=1.0)

