@@ -33,6 +33,19 @@ class TestRunValidation:
         with pytest.raises(ValueError, match="level must be one of"):
             run_validation(level="exhaustive")
 
+    def test_lanes_are_distinct(self):
+        lanes = [validation._lane(check) for check in validation._REGISTRY]
+        assert len(set(lanes)) == len(lanes)
+
+    def test_results_do_not_depend_on_registry_order(self, monkeypatch):
+        checks = [validation._check_qr, validation._check_haar_invariance]
+        monkeypatch.setattr(validation, "_REGISTRY", checks)
+        forward = run_validation(level="quick")
+        monkeypatch.setattr(validation, "_REGISTRY", checks[::-1])
+        assert run_validation(level="quick") == forward[::-1]
+        monkeypatch.setattr(validation, "_REGISTRY", checks[1:])
+        assert run_validation(level="quick") == forward[1:]
+
 
 class TestFormatLedger:
     def test_green_ledger(self):
