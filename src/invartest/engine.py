@@ -24,7 +24,7 @@ import numpy as np
 
 from .groups import GroupAction
 from .numerics import RngStream, as_generator, as_matrix
-from .statistics import TestStatistic, weighted_rows
+from .statistics import _BLOCK_VALUES, TestStatistic, weighted_rows
 
 __all__ = [
     "RandTestConfig",
@@ -43,7 +43,6 @@ __all__ = [
 
 MAX_SIGNFLIP_ROWS = 16   # 2^16 orbit points
 MAX_PERMUTE_ROWS = 7     # 7! = 5040 <= 4e4; 8! would exceed it
-_BLOCK_VALUES = 2 ** 16  # images are drawn in blocks of at most this many values
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,5 @@ def sample_noise(spec: NoiseSpec, rng: RngStream | np.random.Generator) -> np.nd
 
 def _student_entries(n: int, p: int, df: float, gen: np.random.Generator) -> np.ndarray:
     z = gen.standard_normal((n, p))
-    w = sample_chi2(df, (n, p), gen) if float(df).is_integer() else \
-        2.0 * gen.standard_gamma(df / 2.0, size=(n, p))
+    w = sample_chi2(df, (n, p), gen)
     return z / np.sqrt(w / df)

@@ -153,7 +153,7 @@ def student_t_quantile(u: float, df: float) -> float:
     return float(special.stdtrit(df, u))
 
 
-def sample_chi2(df: int, size, rng: RngStream | np.random.Generator) -> np.ndarray:
+def sample_chi2(df: float, size, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Chi-squared draws: sum of squared normals for small integer df,
     a gamma sampler otherwise (identical in distribution)."""
     if df <= 0:

@@ -37,6 +37,8 @@ __all__ = [
     "shipped_statistics",
 ]
 
+_BLOCK_VALUES = 2 ** 16  # stacks are drawn in blocks of at most this many values
+
 
 def weighted_rows(w, x) -> np.ndarray:
     """The weighted row sums W X of weights ``w`` of shape (..., n) against
@@ -313,18 +315,26 @@ def check_psi_subadditive(
 
     Returns the number of sampled pairs that violate the inequality beyond a
     floating-point tolerance; every shipped statistic must return 0.
+
+    The pairs are drawn as one (trials, 2, *sample_shape) normal array, so
+    the stream is read as a_1, b_1, a_2, ..., and f is evaluated on the a, b
+    and a + b stacks with ``TestStatistic.values``. Trials are drawn in
+    blocks of at most ``_BLOCK_VALUES`` values, which bounds memory; each
+    block is a prefix of the rest of the stream, so the count does not
+    depend on the block size.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     gen = as_generator(rng)
+    rows = max(1, _BLOCK_VALUES // (2 * int(np.prod(f.sample_shape))))
     violations = 0
-    for _ in range(trials):
-        a = scale * gen.standard_normal(f.sample_shape)
-        b = scale * gen.standard_normal(f.sample_shape)
-        fa, fb = f(a), f(b)
-        tol = 1e-12 * (abs(fa) + abs(fb) + 1.0)
-        if f.psi * f(a + b) > fa + fb + tol:
-            violations += 1
+    for start in range(0, trials, rows):
+        pairs = scale * gen.standard_normal((min(rows, trials - start), 2, *f.sample_shape))
+        # contiguous stacks, like the single draws the loop passed to fn
+        a, b = np.ascontiguousarray(pairs.swapaxes(0, 1))
+        fa, fb = f.values(a), f.values(b)
+        tol = 1e-12 * (np.abs(fa) + np.abs(fb) + 1.0)
+        violations += int(np.sum(f.psi * f.values(a + b) > fa + fb + tol))
     return violations
 
 

@@ -13,9 +13,11 @@ The suite is heavier than the unit tests (several minutes of Monte Carlo).
 Run it alone with ``pytest tests/test_acceptance.py -v``; each test prints
 its measured quantities next to the tolerance it enforces.
 
-Criteria 06-09 run the ``validate`` checks of ``invartest.validation`` at
-the full budget, so ``invartest validate --full`` and this suite assert the
-same invariants through one implementation.
+Criteria 02 and 06-10 assert through the code of ``invartest.validation``:
+criterion 02 runs its null-level check, criteria 06-09 run the ``validate``
+checks at the full budget, and criterion 10 runs its worker-determinism
+check, so ``invartest validate --full`` and this suite assert the same
+invariants through one implementation.
 """
 
 import math
@@ -42,23 +44,29 @@ from invartest.theory import chi2_shift_gaussian, varL_sparse
 from invartest.validation import (
     _BUDGETS,
     KS_ALPHA,
-    _check_exchangeability,
+    _check_catalog_rank_and_level,
     _check_haar_invariance,
     _check_lazy_eager,
     _check_rate_calibration,
     _check_subadditivity,
     _check_varl_enumeration,
+    null_levels,
+    worker_determinism,
 )
 
 _FULL = _BUDGETS["full"]
 
 
-def _assert_check(check, stream: RngStream) -> None:
-    """Run one ``validate`` check at the full budget, print its measurements
-    and assert that it passed."""
-    result = check(stream, _FULL)
+def _assert_passed(result) -> None:
+    """Print a check's measurements and assert that it passed."""
     print(f"{result.name}: {result.detail}")
     assert result.passed, result.detail
+
+
+def _assert_check(check, stream: RngStream) -> None:
+    """Run one ``validate`` check at the full budget and assert that it
+    passed."""
+    _assert_passed(check(stream, _FULL))
 
 
 def test_criterion_01_exact_level_enumerated_signflip():
@@ -118,41 +126,23 @@ def test_criterion_02_sampled_test_level_control():
     Gaussian entries are both sign-symmetric per row and rotation invariant;
     for the t laws the rotation test uses spherically contoured rows (radius
     law p * F_{p, df}) while the signflip test is also run on plain iid t
-    entries. Every empirical level over 10000 null replicates must lie in
-    0.05 +- 0.0065 (three binomial SE).
+    entries. Every empirical level over 10000 null replicates, the Gaussian
+    deterministic test's included, must lie within three binomial SE
+    (0.0065) of 0.05, through the null-level check of ``validate``.
     """
-    band = 0.0065
     checked = ("signflip_K19", "signflip_K99", "rotation_K19", "rotation_K99")
-
-    curve = run_experiment(
-        sparse_vector_config(20260201, grid_points=1, replicates=10000)
-    )
-    print(f"gaussian deterministic level {curve.series('deterministic')[0]:.4f}")
-    for label in checked:
-        level = curve.series(label)[0]
-        print(f"gaussian {label} level {level:.4f}")
-        assert abs(level - 0.05) <= band, f"gaussian {label}: {level}"
-
+    labeled = [("gaussian", sparse_vector_config(20260201, grid_points=1,
+                                                 replicates=10000))]
     for df, seed in ((3, 20260202), (5, 20260203)):
-        cfg = ScenarioConfig(
+        labeled.append((f"spherical t({df})", ScenarioConfig(
             scenario="sparse_vector", n=32, p=100, n2=None,
             noise=NoiseSpec("spherical", 32, 100, radial="student", df=float(df)),
             grid=(0.0,), methods=checked,
             alpha=0.05, replicates=10000, seed=seed,
-        )
-        curve = run_experiment(cfg)
-        for label in checked:
-            level = curve.series(label)[0]
-            print(f"spherical t({df}) {label} level {level:.4f}")
-            assert abs(level - 0.05) <= band, f"spherical t({df}) {label}: {level}"
-
-    curve = run_experiment(
-        heavy_tail_config(20260204, grid_points=1, replicates=10000)
-    )
-    for label in curve.methods:
-        level = curve.series(label)[0]
-        print(f"iid entries {label} level {level:.4f}")
-        assert abs(level - 0.05) <= band, f"iid {label}: {level}"
+        )))
+    labeled.append(("iid entries", heavy_tail_config(20260204, grid_points=1,
+                                                     replicates=10000)))
+    _assert_passed(null_levels(labeled))
 
 
 def test_criterion_03_sparse_vector_power_curves():
@@ -310,9 +300,10 @@ def test_criterion_08_distributional_properties():
     """Group samplers produce the right distributions at the 1% level:
     Haar draws are invariant under fixed multiplication and have the exact
     marginal for the leading entry, the lazy sphere image of a vector agrees
-    with eagerly rotating it, and the rank of the observed statistic among
-    K = 9 randomized copies is uniform over 10000 replicates for each
-    shipped (group, statistic, noise) pairing.
+    with eagerly rotating it, and for each shipped (group, statistic, noise)
+    pairing, over 10000 null replicates of one K = 19 test each, the rank of
+    the observed statistic among its K randomized copies is uniform and the
+    rejection rate lies within three binomial SE of 0.05.
     """
     _assert_check(_check_haar_invariance, RngStream(20260801, 0))
 
@@ -325,7 +316,7 @@ def test_criterion_08_distributional_properties():
     assert p_lead > KS_ALPHA
 
     _assert_check(_check_lazy_eager, RngStream(20260801, 2))
-    _assert_check(_check_exchangeability, RngStream(20260801, 4))
+    _assert_check(_check_catalog_rank_and_level, RngStream(20260801, 4))
 
 
 def test_criterion_09_subadditivity_suite():
@@ -340,15 +331,10 @@ def test_criterion_10_worker_determinism():
     """Re-running an experiment with the same config and seed yields
     byte-identical CSV output under 1, 4, and 8 worker processes. Both
     configs span nine 200-replicate chunks so the pools genuinely split
-    the work.
+    the work. The comparison is the worker-determinism check of
+    ``validate``.
     """
-    configs = (
+    _assert_passed(worker_determinism([
         two_sample_config(20261001, grid_points=3, replicates=600),
         regression_config(20261002, grid_points=2, replicates=900),
-    )
-    for cfg in configs:
-        payloads = [run_experiment(cfg, workers=w).to_csv().encode("utf-8")
-                    for w in (1, 4, 8)]
-        print(f"{cfg.scenario}: {len(payloads[0])} CSV bytes per run")
-        assert payloads[0] == payloads[1], f"{cfg.scenario}: 4 workers differ"
-        assert payloads[0] == payloads[2], f"{cfg.scenario}: 8 workers differ"
+    ], (1, 4, 8)))

@@ -171,21 +171,6 @@ class TestRunRandomizationTest:
 
 
 class TestRunMaxTest:
-    def test_equals_quantile_at_matching_alpha(self):
-        stat = make_statistic("colmean_linf", sample_shape=(6, 2))
-        action = GroupAction("signflip_rows", n=6)
-        gen = RngStream(61006).generator()
-        for r in range(1000):
-            x = gen.standard_normal((6, 2))
-            K = int(gen.integers(1, 12))
-            seed = int(gen.integers(2**31))
-            a = run_max_test(x, stat, action, K, RngStream(seed))
-            cfg = RandTestConfig(K=K, alpha=1.0 / (K + 1))
-            b = run_randomization_test(x, stat, action, cfg, RngStream(seed))
-            assert a.reject == b.reject
-            assert a.p_value == b.p_value
-            assert_array_equal(a.randomized, b.randomized)
-
     def test_constant_statistic(self):
         stat = TestStatistic("const", 1.0, lambda x: 3.0, (3, 1))
         action = GroupAction("permute_rows", n=3)

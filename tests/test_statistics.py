@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+import invartest.statistics as statistics
 from invartest.numerics import RngStream
 from invartest.statistics import (
     TestStatistic,
@@ -153,13 +154,50 @@ class TestTwosampleDiff:
             stat_twosample_diff(np.ones((4, 2)), n=2, n_prime=2, norm="l1")
 
 
+def _square_norm(x) -> float:
+    return float(np.sum(np.square(x)))
+
+
+_SQUARE_NORMS = [TestStatistic("sqnorm", 1.0, _square_norm, (6,)),
+                 TestStatistic("sqnorm_half", 0.5, _square_norm, (6,))]
+
+
+def _loop_violations(f, trials, scale, rng) -> int:
+    """The per-trial loop that ``check_psi_subadditive`` replaced, frozen
+    here as its reference: draw a, then b, and test the one pair."""
+    gen = rng.generator()
+    violations = 0
+    for _ in range(trials):
+        a = scale * gen.standard_normal(f.sample_shape)
+        b = scale * gen.standard_normal(f.sample_shape)
+        fa, fb = f(a), f(b)
+        tol = 1e-12 * (abs(fa) + abs(fb) + 1.0)
+        if f.psi * f(a + b) > fa + fb + tol:
+            violations += 1
+    return violations
+
+
 class TestSubadditivity:
-    @pytest.mark.parametrize("stat", shipped_statistics(), ids=lambda s: s.name)
-    def test_shipped_statistics_subadditive(self, stat):
-        violations = check_psi_subadditive(
-            stat, trials=500, scale=1.0, rng=RngStream(51007)
-        )
-        assert violations == 0
+    # derandomized, so that every run of the suite checks the same examples;
+    # the blocks hold `rows` trials, so at least one boundary falls mid-run
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stat=st.sampled_from(shipped_statistics() + _SQUARE_NORMS),
+           log_scale=st.floats(-1.0, 1.0), trials=st.integers(2, 40),
+           data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_count_is_the_loop_count(self, stat, log_scale, trials, data, seed):
+        rows = data.draw(st.integers(1, trials - 1), label="rows")
+        scale = 10.0 ** log_scale
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(statistics, "_BLOCK_VALUES",
+                       rows * 2 * int(np.prod(stat.sample_shape)))
+            count = check_psi_subadditive(stat, trials, scale, RngStream(seed))
+        assert count == _loop_violations(stat, trials, scale, RngStream(seed))
+
+    def test_count_across_the_default_block(self):
+        # 5461 trials of a 6-vector pair fill one default block
+        stat = _SQUARE_NORMS[0]
+        count = check_psi_subadditive(stat, 6000, 1.0, RngStream(51006))
+        assert count == _loop_violations(stat, 6000, 1.0, RngStream(51006))
 
     def test_squared_norm_negative_control(self):
         # ||x||_2^2 with psi = 1 must violate; with psi = 1/2 it must not

@@ -2,7 +2,9 @@
 
 The quick ledger must be green and fast, the report format stable, and the
 checks must have teeth: lowering the rejection rank by one doubles the null
-level to 2/(K+1), and the catalog level check has to flag that.
+level to 2/(K+1), and the catalog level check has to flag that; t(2)
+entries in place of Cauchy ones must fail the heavy-tail check. The catalog
+check must also hold on a pairing where a third of the orbit ties with t0.
 """
 
 import math
@@ -23,7 +25,7 @@ class TestRunValidation:
         start = time.monotonic()
         results = run_validation(level="quick")
         elapsed = time.monotonic() - start
-        assert len(results) == 27
+        assert len(results) == 25
         names = [r.name for r in results]
         assert len(names) == len(set(names))
         assert all(r.passed for r in results), format_ledger(results)
@@ -38,7 +40,7 @@ class TestRunValidation:
         assert len(set(lanes)) == len(lanes)
 
     def test_results_do_not_depend_on_registry_order(self, monkeypatch):
-        checks = [validation._check_qr, validation._check_haar_invariance]
+        checks = [validation._check_qr, validation._check_sign_symmetry]
         monkeypatch.setattr(validation, "_REGISTRY", checks)
         forward = run_validation(level="quick")
         monkeypatch.setattr(validation, "_REGISTRY", checks[::-1])
@@ -74,13 +76,38 @@ class TestMutationSensitivity:
         monkeypatch.setattr(engine, "order_index",
                             lambda K, alpha: real(K, alpha) - 1)
         budget = validation._BUDGETS["quick"]
-        result = validation._check_engine_level(RngStream(20260815, 11), budget)
+        result = validation._check_catalog_rank_and_level(RngStream(20260815, 11),
+                                                          budget)
         assert not result.passed
-        freqs = [float(v) for v in re.findall(r": (\d\.\d+)", result.detail)]
+        freqs = [float(v) for v in re.findall(r"level (\d\.\d+)", result.detail)]
         assert len(freqs) == len(validation.scenario_catalog())
         band = 3.0 * math.sqrt(0.1 * 0.9 / budget["level_reps"])
         for freq in freqs:
             assert abs(freq - 0.1) <= band, result.detail
+
+    def test_ties_are_broken_in_expectation(self, monkeypatch):
+        # two rows per sample: a third of all permutations leave the split,
+        # and so t0, unchanged, and the strict rank alone would reject
+        # with probability (2/3)^19 / 3, far below 0.05
+        tied = validation.CatalogEntry(
+            "permute_twosample_tied", validation.GroupAction("permute_rows", n=4),
+            validation.make_statistic("twosample_diff", n=2, n_prime=2, norm="l2",
+                                      sample_shape=(4, 2)),
+            validation.NoiseSpec("iid_normal", 4, 2))
+        monkeypatch.setattr(validation, "scenario_catalog", lambda: [tied])
+        result = validation._check_catalog_rank_and_level(RngStream(20260815, 13),
+                                                          validation._BUDGETS["quick"])
+        assert result.passed, result.detail
+
+    def test_lighter_tails_fail_the_heavy_tail_check(self, monkeypatch):
+        # t(2) entries exceed 100 with probability about 1e-4, against
+        # 1 - 2 atan(100) / pi = 0.0064 for Cauchy entries
+        real = validation.sample_noise
+        monkeypatch.setattr(validation, "sample_noise", lambda spec, rng: real(
+            validation.NoiseSpec("iid_student", spec.n, spec.p, df=2.0), rng))
+        result = validation._check_heavy_tails(RngStream(20260815, 12),
+                                               validation._BUDGETS["quick"])
+        assert not result.passed, result.detail
 
 
 @pytest.fixture
