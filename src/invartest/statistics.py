@@ -19,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
+from .numerics import (RngStream, _operator_norms, as_generator, as_matrix, as_vector,
+                       pseudo_inverse)
 
 __all__ = [
     "Summary",
@@ -161,7 +162,29 @@ def stat_opnorm(x) -> float:
 
 
 def batch_opnorm(images) -> np.ndarray:
-    return np.linalg.svd(_stack(images, as_matrix, "A"), compute_uv=False)[:, 0]
+    """The largest singular value of each n x p slice: the square root of
+    the top eigenvalue of the Gram matrix of its smaller side.
+
+    Each slice is first scaled by the power of two 2^-e that brings its
+    largest |entry| into [1/2, 1), which is exact but for entries that fall
+    below the normal range, and the root is scaled back by 2^e. Unscaled,
+    the Gram matrix of entries near 1e200 overflows and that of entries
+    near 1e-200 underflows to zero. Scaled, the top eigenvalue is at least
+    1/4, and rounding the Gram moves it by at most about n p u of itself
+    (u = 2^-53; each entry sums max(n, p) products, and ||A||_F^2 <=
+    min(n, p) sigma^2), so the value stays within 1e-12 relative of the
+    SVD's while n p is below about 10^4 (Golub & Van Loan, Matrix
+    Computations, 8.6). The stacked product and ``eigvalsh`` treat each
+    slice alone, so a slice has the same bits in any stack.
+    """
+    a = _stack(images, as_matrix, "A")
+    # at least -1022, so that 2^-e is a finite double; a slice whose largest
+    # |entry| is subnormal is then scaled only into the normal range
+    e = np.maximum(np.frexp(np.abs(a).reshape(len(a), -1).max(axis=1))[1], -1022)
+    a = a * np.ldexp(1.0, -e)[:, None, None]
+    gram = a @ a.mT if a.shape[1] <= a.shape[2] else a.mT @ a
+    top = np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0)
+    return np.ldexp(np.sqrt(top), e)
 
 
 _U = 2.0 ** -53  # unit roundoff of a double
@@ -170,15 +193,15 @@ _SAFE = 2.0 ** 450  # t0 within [1/_SAFE, _SAFE], the Gram diagonal below _SAFE^
 
 def opnorm_against(images, t0: float) -> np.ndarray:
     """The largest singular value of each slice of ``images`` compared
-    against t0: -inf where ``batch_opnorm``'s value is below t0, +inf where
-    it is not, and that value itself in a near-tie. So ``values < t0`` is
-    ``batch_opnorm(images) < t0``, image by image.
+    against t0: -inf where the SVD's value (``numerics.operator_norm``) is
+    below t0, +inf where it is not, and that value itself in a near-tie. So
+    ``values < t0`` is ``operator_norm(image) < t0``, image by image.
 
     For an n x p image A, with G = fl(A^T A): if a Cholesky factorisation
     (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
     else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
     left between the two take the SVD, on their own stack, which gives each
-    the bits of ``batch_opnorm``.
+    the bits of ``operator_norm``.
 
     Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
     exact largest singular value of A and s the SVD's. Every rounding:
@@ -213,7 +236,7 @@ def opnorm_against(images, t0: float) -> np.ndarray:
         gram = a.mT @ a
     if not (1.0 / _SAFE <= t0 <= _SAFE
             and np.max(gram.diagonal(axis1=1, axis2=2)) <= _SAFE * _SAFE):
-        return batch_opnorm(a)
+        return _operator_norms(a)
     values = np.full(count, np.inf)
     delta = 32.0 * (n + p + 1) ** 2 * _U
     below = t0 * t0 * (1.0 - delta) * np.eye(p)
@@ -226,7 +249,7 @@ def opnorm_against(images, t0: float) -> np.ndarray:
         elif dpotrf((above - g).T, overwrite_a=True)[1] == 0:
             band.append(i)
     if band:
-        values[band] = batch_opnorm(a[band])
+        values[band] = _operator_norms(a[band])
     return values
 
 

@@ -40,7 +40,7 @@ from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_cdf, normal_quantile, operator_norm, \
     qr_orthonormalize
 from .statistics import TestStatistic, check_psi_subadditive, make_statistic, \
-    shipped_statistics
+    shipped_statistics, stat_opnorm
 from .theory import (
     bernoulli_bound_regression,
     tau_star_sparse,
@@ -161,6 +161,7 @@ def _check_qr(stream: RngStream, budget: dict) -> CheckResult:
 def _check_opnorm(stream: RngStream, budget: dict) -> CheckResult:
     gen = stream.generator()
     details = []
+    gap = 0.0  # the opnorm statistic's Gram evaluation against the SVD
     for _ in range(budget["opnorm_mats"]):
         a = gen.standard_normal((int(gen.integers(2, 20)), int(gen.integers(2, 20))))
         s = operator_norm(a)
@@ -171,12 +172,17 @@ def _check_opnorm(stream: RngStream, budget: dict) -> CheckResult:
         c = float(gen.standard_normal())
         if abs(operator_norm(c * a) - abs(c) * s) > 1e-12 * (abs(c) * s + 1.0):
             details.append("homogeneity violated")
+        for m in (a, c * a):
+            gap = max(gap, abs(stat_opnorm(m) / operator_norm(m) - 1.0))
         b = gen.standard_normal(a.shape)
         if operator_norm(a + b) > s + operator_norm(b) + 1e-9:
             details.append("triangle inequality violated")
+    if gap > 1e-12:
+        details.append(f"stat_opnorm off the SVD by {gap:.3e} relative")
     return _result("opnorm_properties", not details,
                    "; ".join(details) if details else
-                   f"{budget['opnorm_mats']} matrices, 100 vectors each")
+                   f"{budget['opnorm_mats']} matrices, 100 vectors each, "
+                   f"stat_opnorm within {gap:.1e} of the SVD")
 
 
 def _check_quantile_roundtrip(stream: RngStream, budget: dict) -> CheckResult:

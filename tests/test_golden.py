@@ -81,6 +81,15 @@ def csv_digest(scenario: str) -> str:
     return hashlib.sha256(csv.encode()).hexdigest()
 
 
+def _fresh_interpreter_env(threads: str) -> dict:
+    """The environment of a fresh interpreter, which imports this invartest
+    and these test modules and reads its OpenBLAS thread count at load."""
+    paths = [os.path.dirname(os.path.dirname(invartest.__file__)),
+             os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 _DIGESTS_SCRIPT = (
     "import json, test_golden as g; "
     "print(json.dumps({s: g.csv_digest(s) for s in g.GOLDEN_CONFIGS}))"
@@ -94,12 +103,8 @@ class TestGoldenPowerCurves:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_digests_do_not_depend_on_blas_threads(self, threads):
-        # a fresh interpreter, since OpenBLAS reads its thread count at load
-        paths = [os.path.dirname(os.path.dirname(invartest.__file__)),
-                 os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        result = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT], env=env,
+        result = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT],
+                                env=_fresh_interpreter_env(threads),
                                 capture_output=True, text=True, check=True, timeout=600)
         assert json.loads(result.stdout) == GOLDEN_SHA256
 
@@ -135,7 +140,7 @@ GOLDEN_TEST_STDOUT = {
     "rotation_per_column": (
         "opnorm",
         _TEST_PREAMBLE.format(stat="opnorm", group="rotation_per_column")
-        + "t0 = 5.5326327847000023\n" + _K_LINE
+        + "t0 = 5.5326327847000032\n" + _K_LINE
         + "reject = False\np_value = 0.69999999999999996\n",
     ),
 }
@@ -186,6 +191,15 @@ def _run_test(path, stat, group, seed, capsys):
     return captured.out
 
 
+def _run_test_in_fresh_interpreter(path, stat, group, K, seed, threads):
+    argv = ["test", "--data", str(path), "--stat", stat, "--group", group,
+            "--K", str(K), "--alpha", "0.05", "--seed", str(seed)]
+    result = subprocess.run([sys.executable, "-m", "invartest.cli", *argv],
+                            env=_fresh_interpreter_env(threads),
+                            capture_output=True, text=True, check=True, timeout=600)
+    return result.stdout
+
+
 class TestGoldenTestCommand:
     @pytest.mark.parametrize("group", sorted(GOLDEN_TEST_STDOUT))
     def test_stdout(self, group, golden_matrix, capsys):
@@ -195,6 +209,19 @@ class TestGoldenTestCommand:
     def test_wide_rotation_stdout(self, wide_matrix, capsys):
         out = _run_test(wide_matrix, "colmean_linf", "rotation", 3110, capsys)
         assert out == GOLDEN_WIDE_ROTATION_STDOUT
+
+    def test_rotation_per_column_does_not_depend_on_blas_threads(self, golden_matrix,
+                                                                 tmp_path):
+        # opnorm forms its Gram matrices with BLAS; a 32x100 K=99 test
+        # evaluates them in blocks of 20 images
+        data = np.random.Generator(np.random.PCG64(3112)).standard_normal((32, 100))
+        large = _write_matrix(tmp_path / "large.csv", data)
+        outs = [[_run_test_in_fresh_interpreter(path, "opnorm", "rotation_per_column",
+                                                K, 3107, threads)
+                 for path, K in ((golden_matrix, 19), (large, 99))]
+                for threads in ("1", "2")]
+        assert outs[0][0] == GOLDEN_TEST_STDOUT["rotation_per_column"][1]
+        assert outs[1] == outs[0]
 
 
 # rotate_full on a 4x10 matrix with a statistic that declares no summary,

@@ -3,7 +3,7 @@ checker."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -11,6 +11,7 @@ import invartest.statistics as statistics
 from invartest.numerics import RngStream
 from invartest.statistics import (
     TestStatistic,
+    batch_opnorm,
     check_psi_subadditive,
     make_statistic,
     opnorm_against,
@@ -375,6 +376,40 @@ class TestSummary:
     def test_only_row_sum_statistics_declare_one(self):
         declared = {s.name for s in shipped_statistics() if s.summary is not None}
         assert declared == {"colmean_linf", "twosample_diff_linf", "twosample_diff_l2"}
+
+
+# derandomized, like TestOpnormAgainst. Without the power-of-two scaling,
+# the Gram matrix overflows at the large scales (eigvalsh then fails to
+# converge) and underflows to a zero value at the small ones.
+class TestBatchOpnorm:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 40), p=st.integers(1, 40), zero_cols=st.integers(0, 3),
+           k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_svd_at_every_scale(self, n, p, zero_cols, k, seed):
+        gen = np.random.default_rng(seed)
+        a = np.ldexp(gen.standard_normal((n, p)), k)
+        a[:, gen.permutation(p)[:zero_cols]] = 0.0
+        for m in (a, a.T):
+            svd = np.linalg.svd(m, compute_uv=False)[0]
+            assume(np.isfinite(svd))
+            assert abs(stat_opnorm(m) - svd) <= 1e-12 * svd
+
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 4), (4, 6), (40, 40)])
+    def test_zero_and_subnormal_matrices(self, shape):
+        a = np.zeros(shape)
+        assert stat_opnorm(a) == 0.0
+        a[-1, 0] = -5e-324  # the smallest subnormal
+        assert stat_opnorm(a) == 5e-324
+
+    @pytest.mark.parametrize("shape", [(32, 100), (100, 32), (6, 4)])
+    def test_a_slice_has_the_same_bits_in_any_stack(self, shape):
+        # 20 images of 32x100 are one engine block: 2^16 // 3200
+        images = RngStream(51040).generator().standard_normal((99, *shape))
+        alone = np.array([stat_opnorm(y) for y in images])
+        for size in (1, 20, 99):
+            for start in range(0, 99, size):
+                block = images[start:start + size]
+                assert batch_opnorm(block).tobytes() == alone[start:start + size].tobytes()
 
 
 # derandomized, so that every run of the suite checks the same examples.
