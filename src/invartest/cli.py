@@ -251,8 +251,6 @@ def _build_action(group: str, shape: tuple[int, int]) -> GroupAction:
 
 def _cmd_test(args) -> int:
     data = _read_data_matrix(args.data)
-    if data.ndim == 1:
-        data = data[:, None]
     try:
         cfg = RandTestConfig(K=args.K, alpha=args.alpha)
     except ValueError as e:

@@ -32,9 +32,8 @@ import numpy as np
 from .engine import decide, decide_stopping, order_index
 from .groups import _column_sphere_images, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, sample_noise
-from .numerics import (RngStream, normal_quantile, operator_norm, pseudo_inverse,
-                       student_t_quantile)
-from .statistics import opnorm_against
+from .numerics import RngStream, normal_quantile, pseudo_inverse, student_t_quantile
+from .statistics import batch_opnorm, opnorm_against
 from .theory import (
     ConsistencyInputs,
     bernoulli_bound_design,
@@ -500,7 +499,7 @@ def _lowrank_setup(cfg: ScenarioConfig, parsed) -> np.ndarray:
 
 def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, methods):
     x = sample_noise(cfg.noise, noise) + tau * base
-    t0 = operator_norm(x)  # the SVD's bits, as opnorm_against's near-tie fallback
+    t0 = float(batch_opnorm(x[None])[0])  # the opnorm statistic, as the engine's t0
     for meth, gen in methods:
         def orbit(b):
             # row blocks of the column images are prefixes of one draw of

@@ -116,16 +116,9 @@ def qr_orthonormalize(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def operator_norm(a) -> float:
-    """Largest singular value, from the SVD."""
-    return float(_operator_norms(as_matrix(a, "A")))
-
-
-def _operator_norms(a: np.ndarray) -> np.ndarray:
-    """The SVD's largest singular value of a matrix or of every matrix of a
-    stack. Each matrix gets the same bits alone or in any stack, which the
-    lowrank scenario's Cholesky certificate relies on: its t0 and its
-    near-tie fallback are both this expression."""
-    return np.linalg.svd(a, compute_uv=False)[..., 0]
+    """Largest singular value, from the SVD: the independent reference for
+    the ``opnorm`` statistic's Gram evaluation."""
+    return float(np.linalg.svd(as_matrix(a, "A"), compute_uv=False)[0])
 
 
 def pseudo_inverse(x) -> np.ndarray:

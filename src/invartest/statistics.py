@@ -19,20 +19,14 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
-from .numerics import (RngStream, _operator_norms, as_generator, as_matrix, as_vector,
-                       pseudo_inverse)
+from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
 __all__ = [
     "Summary",
     "TestStatistic",
     "weighted_rows",
-    "stat_colmean_linf",
-    "stat_linf",
-    "stat_opnorm",
+    "batch_opnorm",
     "opnorm_against",
-    "stat_kyfan",
-    "stat_ols_linf",
-    "stat_twosample_diff",
     "check_psi_subadditive",
     "make_statistic",
     "shipped_statistics",
@@ -79,22 +73,21 @@ class Summary:
 class TestStatistic:
     """A real-valued functional of a data matrix with its psi constant.
 
-    ``sample_shape`` is the input shape used when property tests draw random
-    arguments for this statistic. ``batch``, when set, evaluates the
-    statistic on every slice of a stack along its leading axis at once. A
-    custom ``batch`` must be bitwise equal to ``fn`` on every slice, or ties
-    with t0 = fn(x) would break differently; each shipped ``fn`` is its
-    ``batch`` on a one-image stack. ``summary``, when set, returns the
-    ``Summary`` of the statistic on an n-row matrix (raising if n does not
-    fit); ``fn`` must then be ``summary(n).g`` on the row sums
-    ``weighted_rows(summary(n).w, x)``, bitwise.
+    ``batch`` is the one evaluator: it maps a stack of inputs along its
+    leading axis to one value per slice, and must give a slice the same bits
+    in any stack, so that t0 = f(x), a one-image stack, ties with an orbit
+    value exactly when their images are equal. ``sample_shape`` is the input
+    shape used when property tests draw random arguments for this statistic.
+    ``summary``, when set, returns the ``Summary`` of the statistic on an
+    n-row matrix (raising if n does not fit); ``batch`` must then be
+    ``summary(n).g`` on the row sums ``weighted_rows(summary(n).w, x)``,
+    bitwise.
     """
 
     name: str
     psi: float
-    fn: Callable[[np.ndarray], float]
+    batch: Callable[[np.ndarray], np.ndarray]
     sample_shape: tuple[int, ...]
-    batch: Callable[[np.ndarray], np.ndarray] | None = None
     summary: Callable[[int], Summary] | None = None
 
     __test__ = False  # not a test case despite the Test* name
@@ -104,18 +97,11 @@ class TestStatistic:
             raise ValueError(f"psi must lie in (0, 1], got {self.psi}")
 
     def __call__(self, x) -> float:
-        value = float(self.fn(x))
-        if not np.isfinite(value):
-            raise ValueError(f"statistic {self.name} returned non-finite value")
-        return value
+        return float(self.values(np.asarray(x, dtype=float)[None])[0])
 
     def values(self, images) -> np.ndarray:
-        """The statistic on every slice of ``images`` along its leading axis:
-        ``batch`` when set, else a loop over ``fn``."""
-        if self.batch is not None:
-            vals = np.asarray(self.batch(images), dtype=float)
-        else:
-            vals = np.array([float(self.fn(y)) for y in images])
+        """The statistic on every slice of ``images`` along its leading axis."""
+        vals = np.asarray(self.batch(np.asarray(images, dtype=float)), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"statistic {self.name} returned non-finite value")
         return vals
@@ -132,33 +118,20 @@ def _stack(images, check, name: str) -> np.ndarray:
     return a.reshape(a.shape[0], *check(a[0], name).shape)
 
 
-def stat_colmean_linf(x) -> float:
-    """Largest absolute column mean, n^{-1} ||1^T X||_inf."""
-    return float(batch_colmean_linf([x])[0])
-
-
 def colmean_summary(n: int) -> Summary:
     """W = 1^T, the column sums s, and g(s) = max_j |s_j| / n."""
     return Summary(np.ones((1, n)), lambda s: np.max(np.abs(s[:, 0]), axis=1) / n)
 
 
 def batch_colmean_linf(images) -> np.ndarray:
+    """Largest absolute column mean, n^{-1} ||1^T X||_inf, of each slice."""
     a = _stack(images, as_matrix, "X")
     return colmean_summary(a.shape[1]).values(a)
 
 
-def stat_linf(x) -> float:
-    """Sup norm of a vector."""
-    return float(batch_linf([x])[0])
-
-
 def batch_linf(images) -> np.ndarray:
+    """Sup norm of each vector slice."""
     return np.max(np.abs(_stack(images, as_vector, "x")), axis=1)
-
-
-def stat_opnorm(x) -> float:
-    """Largest singular value."""
-    return float(batch_opnorm([x])[0])
 
 
 def batch_opnorm(images) -> np.ndarray:
@@ -193,18 +166,20 @@ _SAFE = 2.0 ** 450  # t0 within [1/_SAFE, _SAFE], the Gram diagonal below _SAFE^
 
 def opnorm_against(images, t0: float) -> np.ndarray:
     """The largest singular value of each slice of ``images`` compared
-    against t0: -inf where the SVD's value (``numerics.operator_norm``) is
-    below t0, +inf where it is not, and that value itself in a near-tie. So
-    ``values < t0`` is ``operator_norm(image) < t0``, image by image.
+    against t0: -inf where the ``opnorm`` statistic's value
+    (``batch_opnorm``) is below t0, +inf where it is not, and that value
+    itself in a near-tie. So ``values < t0`` is ``batch_opnorm(images) <
+    t0``, image by image.
 
     For an n x p image A, with G = fl(A^T A): if a Cholesky factorisation
     (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
     else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
-    left between the two take the SVD, on their own stack, which gives each
-    the bits of ``operator_norm``.
+    left between the two take ``batch_opnorm``, on their own stack, which
+    gives each the bits it has in any stack.
 
     Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
-    exact largest singular value of A and s the SVD's. Every rounding:
+    exact largest singular value of A and s the value of ``batch_opnorm``.
+    Every rounding:
 
     - Gram: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, in any
       summation order, so the 2-norm error is at most n gamma_n sigma^2
@@ -216,27 +191,32 @@ def opnorm_against(images, t0: float) -> np.ndarray:
       (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
       Thm 10.3); failure certifies lambda_min(M) <= the same bound, by the
       contrapositive of Demmel's condition (Thm 10.7).
-    - SVD: |s - sigma| <= n p u sigma (backward stable bidiagonalisation,
-      LAPACK's p(n, p) u, and Weyl's inequality).
+    - ``batch_opnorm``: the power-of-two scaling is exact; its Gram of the
+      smaller side, m = min(n, p), is off by at most m gamma_{n + p - m}
+      sigma^2 <= n p u sigma^2 (as above, each entry sums max(n, p)
+      products); ``eigvalsh`` is backward stable, its top eigenvalue within
+      c(m) u ||G||_2 of the rounded Gram's by Weyl's inequality, with
+      LAPACK's modest c(m), taken here as m^2; and the square root rounds
+      once. So |s^2 - sigma^2| <= (n p + m^2 + 2) u sigma^2 to first order.
 
     Chained, a success at 1 - delta gives s^2 < t0^2, and a failure at
     1 + delta gives s^2 >= t0^2, once delta exceeds the first-order sum
-    (n^2 + 2 p (p + 1) + 2 n p + 5) u <= 2 (n + p + 1)^2 u. The helper takes
-    delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11 at 50x50. The
+    (n^2 + 2 p (p + 1) + n p + m^2 + 7) u <= 2 (n + p + 1)^2 u. The helper
+    takes delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11 at 50x50. The
     second-order terms stay below the first-order ones while delta < 1e-3,
     that is n + p < 5e5. With t0 in [2^-450, 2^450] and the Gram diagonal
     at most 2^900, nothing overflows and an underflow costs at most 2^-1074
     per operation, below 2^-121 u t0^2, which the slack in delta absorbs.
-    Any other t0, zero and negative ones included, or Gram, takes the SVD
-    for every image.
+    Any other t0, zero and negative ones included, or Gram, takes
+    ``batch_opnorm`` for every image.
     """
     a = _stack(images, as_matrix, "A")
     count, n, p = a.shape
-    with np.errstate(over="ignore"):  # an overflowing Gram takes the SVD
+    with np.errstate(over="ignore"):  # an overflowing Gram takes batch_opnorm
         gram = a.mT @ a
     if not (1.0 / _SAFE <= t0 <= _SAFE
             and np.max(gram.diagonal(axis1=1, axis2=2)) <= _SAFE * _SAFE):
-        return _operator_norms(a)
+        return batch_opnorm(a)
     values = np.full(count, np.inf)
     delta = 32.0 * (n + p + 1) ** 2 * _U
     below = t0 * t0 * (1.0 - delta) * np.eye(p)
@@ -249,17 +229,13 @@ def opnorm_against(images, t0: float) -> np.ndarray:
         elif dpotrf((above - g).T, overwrite_a=True)[1] == 0:
             band.append(i)
     if band:
-        values[band] = _operator_norms(a[band])
+        values[band] = batch_opnorm(a[band])
     return values
 
 
-def stat_kyfan(x, kappa: int, zeta: float = 1.0) -> float:
-    """Generalized Ky Fan norm: the zeta-norm of the kappa largest
-    singular values."""
-    return float(batch_kyfan([x], kappa, zeta)[0])
-
-
 def batch_kyfan(images, kappa: int, zeta: float = 1.0) -> np.ndarray:
+    """Generalized Ky Fan norm of each slice: the zeta-norm of its kappa
+    largest singular values."""
     a = _stack(images, as_matrix, "X")
     limit = min(a.shape[1:])
     if not 1 <= kappa <= limit:
@@ -272,21 +248,9 @@ def batch_kyfan(images, kappa: int, zeta: float = 1.0) -> np.ndarray:
     return np.array([s ** (1.0 / zeta) for s in np.sum(sv ** zeta, axis=1)])
 
 
-def stat_ols_linf(y, design=None, design_pinv=None) -> float:
-    """Sup norm of the least-squares coefficient estimate X^dagger y.
-
-    Pass ``design_pinv`` when evaluating repeatedly against one fixed design;
-    it is the Moore-Penrose pseudo-inverse of the design matrix.
-    """
-    if design_pinv is None:
-        if design is None:
-            raise ValueError("stat_ols_linf needs a design matrix or its pseudo-inverse")
-        design_pinv = pseudo_inverse(design)
-    return float(batch_ols_linf([y], design_pinv)[0])
-
-
 def batch_ols_linf(images, design_pinv) -> np.ndarray:
-    """The stacked matrix-vector product ``pinv @ y[..., None]`` is bitwise
+    """Sup norm of the least-squares estimate X^dagger y of each slice y,
+    given the design's pseudo-inverse X^dagger. The stacked matrix-vector product ``pinv @ y[..., None]`` is bitwise
     the 1d one; ``Y @ pinv.T`` would run a matrix product with a different
     summation order."""
     y = _stack(images, as_vector, "y")
@@ -294,11 +258,6 @@ def batch_ols_linf(images, design_pinv) -> np.ndarray:
     if design_pinv.shape[1] != y.shape[1]:
         raise ValueError(f"design has {design_pinv.shape[1]} rows, y has {y.shape[1]} entries")
     return np.max(np.abs(design_pinv @ y[..., None]), axis=(1, 2))
-
-
-def stat_twosample_diff(x, n: int, n_prime: int, norm: str = "linf") -> float:
-    """Norm of the difference of block means of a stacked (n+n') x p matrix."""
-    return float(batch_twosample_diff([x], n, n_prime, norm)[0])
 
 
 def twosample_summary(rows: int, n: int, n_prime: int, norm: str = "linf") -> Summary:
@@ -324,6 +283,8 @@ def twosample_summary(rows: int, n: int, n_prime: int, norm: str = "linf") -> Su
 
 
 def batch_twosample_diff(images, n: int, n_prime: int, norm: str = "linf") -> np.ndarray:
+    """Norm of the difference of block means of each stacked (n+n') x p
+    slice."""
     a = _stack(images, as_matrix, "X")
     return twosample_summary(a.shape[1], n, n_prime, norm).values(a)
 
@@ -353,7 +314,7 @@ def check_psi_subadditive(
     violations = 0
     for start in range(0, trials, rows):
         pairs = scale * gen.standard_normal((min(rows, trials - start), 2, *f.sample_shape))
-        # contiguous stacks, like the single draws the loop passed to fn
+        # contiguous stacks, each slice laid out as one draw of it alone
         a, b = np.ascontiguousarray(pairs.swapaxes(0, 1))
         fa, fb = f.values(a), f.values(b)
         tol = 1e-12 * (np.abs(fa) + np.abs(fb) + 1.0)
@@ -366,58 +327,47 @@ def make_statistic(name: str, **params) -> TestStatistic:
 
     Recognized names: colmean_linf, linf, opnorm, kyfan, ols_linf,
     twosample_diff. Shape-dependent parameters (kappa, design, n, n_prime,
-    sample_shape, ...) are passed as keywords.
+    sample_shape, ...) are passed as keywords; a missing required one and
+    any keyword the name does not take raise ValueError.
     """
     shape = params.pop("sample_shape", None)
+
+    def required(key):
+        value = params.pop(key, None)
+        if value is None:
+            raise ValueError(f"{name} needs {key}=")
+        return value
+
     if name == "colmean_linf":
-        return TestStatistic("colmean_linf", 1.0, stat_colmean_linf, shape or (8, 5),
-                             batch_colmean_linf, colmean_summary)
-    if name == "linf":
-        return TestStatistic("linf", 1.0, stat_linf, shape or (12,), batch_linf)
-    if name == "opnorm":
-        return TestStatistic("opnorm", 1.0, stat_opnorm, shape or (6, 4), batch_opnorm)
-    if name == "kyfan":
+        stat = TestStatistic("colmean_linf", 1.0, batch_colmean_linf, shape or (8, 5),
+                             colmean_summary)
+    elif name == "linf":
+        stat = TestStatistic("linf", 1.0, batch_linf, shape or (12,))
+    elif name == "opnorm":
+        stat = TestStatistic("opnorm", 1.0, batch_opnorm, shape or (6, 4))
+    elif name == "kyfan":
         kappa = params.pop("kappa", 2)
         zeta = params.pop("zeta", 1.0)
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)} for kyfan")
-        return TestStatistic(
-            f"kyfan_{kappa}_{zeta:g}",
-            1.0,
-            lambda x: stat_kyfan(x, kappa, zeta),
-            shape or (6, 4),
-            lambda xs: batch_kyfan(xs, kappa, zeta),
-        )
-    if name == "ols_linf":
-        design = params.pop("design", None)
-        if design is None:
-            raise ValueError("ols_linf needs design=")
-        design = as_matrix(design, "design")
+        stat = TestStatistic(f"kyfan_{kappa}_{zeta:g}", 1.0,
+                             lambda xs: batch_kyfan(xs, kappa, zeta), shape or (6, 4))
+    elif name == "ols_linf":
+        design = as_matrix(required("design"), "design")
         pinv = pseudo_inverse(design)
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)} for ols_linf")
-        return TestStatistic(
-            "ols_linf",
-            1.0,
-            lambda y: stat_ols_linf(y, design_pinv=pinv),
-            shape or (design.shape[0],),
-            lambda ys: batch_ols_linf(ys, pinv),
-        )
-    if name == "twosample_diff":
-        n = params.pop("n")
-        n_prime = params.pop("n_prime")
+        stat = TestStatistic("ols_linf", 1.0, lambda ys: batch_ols_linf(ys, pinv),
+                             shape or (design.shape[0],))
+    elif name == "twosample_diff":
+        n = required("n")
+        n_prime = required("n_prime")
         norm = params.pop("norm", "linf")
-        if params:
-            raise ValueError(f"unknown parameters {sorted(params)} for twosample_diff")
-        return TestStatistic(
-            f"twosample_diff_{norm}",
-            1.0,
-            lambda x: stat_twosample_diff(x, n, n_prime, norm),
-            shape or (n + n_prime, 1),
-            lambda xs: batch_twosample_diff(xs, n, n_prime, norm),
-            lambda rows: twosample_summary(rows, n, n_prime, norm),
-        )
-    raise ValueError(f"unknown statistic {name!r}")
+        stat = TestStatistic(f"twosample_diff_{norm}", 1.0,
+                             lambda xs: batch_twosample_diff(xs, n, n_prime, norm),
+                             shape or (n + n_prime, 1),
+                             lambda rows: twosample_summary(rows, n, n_prime, norm))
+    else:
+        raise ValueError(f"unknown statistic {name!r}")
+    if params:
+        raise ValueError(f"unknown parameters {sorted(params)} for {name}")
+    return stat
 
 
 def shipped_statistics(design_seed: int = 20260815) -> list[TestStatistic]:

@@ -40,7 +40,7 @@ from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_cdf, normal_quantile, operator_norm, \
     qr_orthonormalize
 from .statistics import TestStatistic, check_psi_subadditive, make_statistic, \
-    shipped_statistics, stat_opnorm
+    shipped_statistics
 from .theory import (
     bernoulli_bound_regression,
     tau_star_sparse,
@@ -161,6 +161,7 @@ def _check_qr(stream: RngStream, budget: dict) -> CheckResult:
 def _check_opnorm(stream: RngStream, budget: dict) -> CheckResult:
     gen = stream.generator()
     details = []
+    opnorm = make_statistic("opnorm")
     gap = 0.0  # the opnorm statistic's Gram evaluation against the SVD
     for _ in range(budget["opnorm_mats"]):
         a = gen.standard_normal((int(gen.integers(2, 20)), int(gen.integers(2, 20))))
@@ -173,7 +174,7 @@ def _check_opnorm(stream: RngStream, budget: dict) -> CheckResult:
         if abs(operator_norm(c * a) - abs(c) * s) > 1e-12 * (abs(c) * s + 1.0):
             details.append("homogeneity violated")
         for m in (a, c * a):
-            gap = max(gap, abs(stat_opnorm(m) / operator_norm(m) - 1.0))
+            gap = max(gap, abs(opnorm(m) / operator_norm(m) - 1.0))
         b = gen.standard_normal(a.shape)
         if operator_norm(a + b) > s + operator_norm(b) + 1e-9:
             details.append("triangle inequality violated")
@@ -262,7 +263,7 @@ def _check_subadditivity(stream: RngStream, budget: dict) -> CheckResult:
                 fails.append(f"{f.name}@{scale}: {v}")
     # negative control: psi = 1 on a squared norm must violate
     control = TestStatistic("sq_norm_control", 1.0,
-                            lambda x: float(np.sum(np.asarray(x) ** 2)), (6,))
+                            lambda xs: np.sum(xs ** 2, axis=1), (6,))
     v = check_psi_subadditive(control, trials, 1.0, stream.child(99))
     return _result("subadditivity_suite", not fails and v > 0,
                    ("violations: " + "; ".join(fails)) if fails else

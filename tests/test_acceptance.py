@@ -104,7 +104,7 @@ def test_criterion_01_exact_level_enumerated_signflip():
 
     signed_mean = TestStatistic(
         name="signed_mean", psi=1.0,
-        fn=lambda v: float(np.mean(v)), sample_shape=(n, 1),
+        batch=lambda vs: np.mean(vs, axis=(1, 2)), sample_shape=(n, 1),
     )
     check_gen = RngStream(20260815, 8).generator()
     for _ in range(50):

@@ -107,7 +107,7 @@ class TestRandTestConfig:
 
 class TestRunRandomizationTest:
     def test_constant_statistic_never_rejects(self):
-        stat = TestStatistic("const", 1.0, lambda x: 1.0, (4, 2))
+        stat = TestStatistic("const", 1.0, lambda xs: np.ones(len(xs)), (4, 2))
         action = GroupAction("signflip_rows", n=4)
         cfg = RandTestConfig(K=1, alpha=0.5)
         out = run_randomization_test(
@@ -172,7 +172,7 @@ class TestRunRandomizationTest:
 
 class TestRunMaxTest:
     def test_constant_statistic(self):
-        stat = TestStatistic("const", 1.0, lambda x: 3.0, (3, 1))
+        stat = TestStatistic("const", 1.0, lambda xs: np.full(len(xs), 3.0), (3, 1))
         action = GroupAction("permute_rows", n=3)
         out = run_max_test(np.ones((3, 1)), stat, action, 7, RngStream(61007))
         assert out.reject is False
@@ -197,7 +197,7 @@ class TestBruteForce:
 
     def test_permutation_enumeration(self):
         x = np.array([[2.0], [0.0], [1.0]])
-        stat = TestStatistic("first", 1.0, lambda a: float(a[0, 0]), (3, 1))
+        stat = TestStatistic("first", 1.0, lambda xs: xs[:, 0, 0], (3, 1))
         out = brute_force_full_group_test(x, stat, "permute_rows", alpha=0.4)
         assert out.randomized.size == 5
         # two of six orderings put the largest row first

@@ -9,6 +9,7 @@ from numpy.testing import assert_array_equal
 from scipy import stats
 
 from invartest import experiments
+from invartest.engine import RandTestConfig, run_randomization_test
 from invartest.experiments import (
     CSV_HEADER,
     SCENARIOS,
@@ -22,7 +23,10 @@ from invartest.experiments import (
     two_sample_config,
     two_sample_t_test,
 )
-from invartest.noise import NoiseSpec
+from invartest.groups import GroupAction
+from invartest.noise import NoiseSpec, sample_noise
+from invartest.numerics import RngStream
+from invartest.statistics import make_statistic
 
 
 class TestConfigFactories:
@@ -353,6 +357,31 @@ class TestRunners:
         a = run_experiment(two_sample_config(seed=1, grid_points=2, replicates=120))
         b = run_experiment(two_sample_config(seed=2, grid_points=2, replicates=120))
         assert not np.array_equal(a.counts, b.counts)
+
+    def test_lowrank_unit_is_the_engine_test(self, monkeypatch):
+        # each unit's t0 and rejection, seen through decide_stopping, against
+        # the opnorm statistic and the generic engine on the unit's streams
+        cfg = lowrank_config(7, grid_points=5, replicates=30)
+        seen = []
+        decide_stopping = experiments.decide_stopping
+
+        def spy(t0, orbit, K, k):
+            seen.append((t0, decide_stopping(t0, orbit, K, k)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(experiments, "decide_stopping", spy)
+        counts = experiments._chunk(cfg, 0, 150)
+        assert len(seen) == 150 and 0 < counts.sum() < 150
+        base = experiments._lowrank_setup(cfg, None)
+        opnorm = make_statistic("opnorm")
+        action = GroupAction("rotate_per_column", n=cfg.n, p=cfg.p)
+        for u, (t0, reject) in enumerate(seen):
+            stream = RngStream(cfg.seed, u)
+            x = sample_noise(cfg.noise, stream.child(0)) + cfg.grid[u // cfg.replicates] * base
+            assert t0 == opnorm(x)
+            out = run_randomization_test(x, opnorm, action, RandTestConfig(19, cfg.alpha),
+                                         stream.child(1))
+            assert reject == out.reject
 
 
 class TestTwoSampleTTest:

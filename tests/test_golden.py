@@ -237,7 +237,7 @@ class TestGoldenEngine:
     def test_stiefel_outcome(self):
         x = np.random.Generator(np.random.PCG64(3109)).standard_normal((4, 10))
         x[:, 0] += 1.0
-        corner = TestStatistic("abs_x00", 1.0, lambda y: abs(y[0, 0]), (4, 10))
+        corner = TestStatistic("abs_x00", 1.0, lambda ys: np.abs(ys[:, 0, 0]), (4, 10))
         out = run_randomization_test(x, corner, GroupAction("rotate_full", p=10),
                                      RandTestConfig(19, 0.05), RngStream(3111))
         digest = hashlib.sha256(out.randomized.tobytes()).hexdigest()

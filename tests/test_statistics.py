@@ -16,63 +16,61 @@ from invartest.statistics import (
     make_statistic,
     opnorm_against,
     shipped_statistics,
-    stat_colmean_linf,
-    stat_kyfan,
-    stat_linf,
-    stat_ols_linf,
-    stat_opnorm,
-    stat_twosample_diff,
     weighted_rows,
 )
+
+colmean_linf = make_statistic("colmean_linf")
+linf = make_statistic("linf")
+opnorm = make_statistic("opnorm")
 
 
 class TestColmeanLinf:
     def test_hand_example(self):
-        assert stat_colmean_linf([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(3.0)
+        assert colmean_linf([[1.0, 2.0], [3.0, 4.0]]) == pytest.approx(3.0)
 
     def test_zero(self):
-        assert stat_colmean_linf(np.zeros((4, 3))) == 0.0
+        assert colmean_linf(np.zeros((4, 3))) == 0.0
 
     def test_single_row_reduces_to_linf(self):
         row = np.array([1.0, -4.0, 2.0])
-        assert stat_colmean_linf(row[None, :]) == stat_linf(row)
+        assert colmean_linf(row[None, :]) == linf(row)
 
     def test_signal_identity(self):
         # a pure rank-one signal 1_n s^T has column means exactly s
         s = np.array([0.3, -2.5, 0.0, 1.1])
         x = np.ones((7, 1)) @ s[None, :]
-        assert stat_colmean_linf(x) == np.max(np.abs(s))
+        assert colmean_linf(x) == np.max(np.abs(s))
 
 
 class TestLinf:
     def test_hand_example(self):
-        assert stat_linf([1.0, -4.0, 2.0]) == 4.0
+        assert linf([1.0, -4.0, 2.0]) == 4.0
 
     def test_zero(self):
-        assert stat_linf(np.zeros(5)) == 0.0
+        assert linf(np.zeros(5)) == 0.0
 
     def test_triangle_inequality(self):
         gen = RngStream(51001).generator()
         for _ in range(10_000):
             a = gen.standard_normal(6)
             b = gen.standard_normal(6)
-            assert stat_linf(a + b) <= stat_linf(a) + stat_linf(b) + 1e-12
+            assert linf(a + b) <= linf(a) + linf(b) + 1e-12
 
 
 class TestOpnormAndKyfan:
     def test_opnorm_delegates(self):
         a = np.diag([3.0, 1.0])
-        assert stat_opnorm(a) == pytest.approx(3.0)
+        assert opnorm(a) == pytest.approx(3.0)
 
     def test_kyfan_kappa_one_is_opnorm(self):
         gen = RngStream(51002).generator()
         a = gen.standard_normal((5, 4))
-        assert abs(stat_kyfan(a, kappa=1) - stat_opnorm(a)) <= 1e-10
+        assert abs(make_statistic("kyfan", kappa=1)(a) - opnorm(a)) <= 1e-10
 
     def test_kyfan_full_zeta_two_is_frobenius(self):
         gen = RngStream(51003).generator()
         a = gen.standard_normal((6, 4))
-        assert stat_kyfan(a, kappa=4, zeta=2.0) == pytest.approx(
+        assert make_statistic("kyfan", kappa=4, zeta=2.0)(a) == pytest.approx(
             np.linalg.norm(a), abs=1e-9
         )
 
@@ -80,87 +78,90 @@ class TestOpnormAndKyfan:
         # bitwise the scalar power; numpy's array power can differ from it
         # in the last bit
         gen = RngStream(51004).generator()
+        kyfan = make_statistic("kyfan", kappa=3, zeta=3.5)
         for _ in range(100):
             a = gen.standard_normal((5, 4))
             sv = np.linalg.svd(a, compute_uv=False)[:3]
-            assert stat_kyfan(a, kappa=3, zeta=3.5) == float(np.sum(sv ** 3.5) ** (1 / 3.5))
+            assert kyfan(a) == float(np.sum(sv ** 3.5) ** (1 / 3.5))
 
     def test_kyfan_hand_example(self):
-        assert stat_kyfan(np.diag([3.0, 2.0, 1.0]), kappa=2, zeta=1.0) == pytest.approx(5.0)
+        kyfan = make_statistic("kyfan", kappa=2, zeta=1.0)
+        assert kyfan(np.diag([3.0, 2.0, 1.0])) == pytest.approx(5.0)
 
     def test_kyfan_kappa_out_of_range(self):
         a = np.ones((3, 2))
         with pytest.raises(ValueError, match="kappa"):
-            stat_kyfan(a, kappa=3)
+            make_statistic("kyfan", kappa=3)(a)
         with pytest.raises(ValueError, match="kappa"):
-            stat_kyfan(a, kappa=0)
+            make_statistic("kyfan", kappa=0)(a)
 
     def test_kyfan_zeta_below_one(self):
         with pytest.raises(ValueError, match="zeta"):
-            stat_kyfan(np.eye(2), kappa=1, zeta=0.5)
+            make_statistic("kyfan", kappa=1, zeta=0.5)(np.eye(2))
 
 
 class TestOlsLinf:
     def test_identity_design(self):
         y = np.array([0.5, -2.0, 1.0])
-        assert stat_ols_linf(y, design=np.eye(3)) == stat_linf(y)
+        assert make_statistic("ols_linf", design=np.eye(3))(y) == linf(y)
 
     def test_zero_response(self):
         gen = RngStream(51004).generator()
         x = gen.standard_normal((6, 2))
-        assert stat_ols_linf(np.zeros(6), design=x) == 0.0
+        assert make_statistic("ols_linf", design=x)(np.zeros(6)) == 0.0
 
     def test_matches_least_squares_oracle(self):
         gen = RngStream(51005).generator()
         x = gen.standard_normal((30, 6))
         y = gen.standard_normal(30)
         beta, *_ = np.linalg.lstsq(x, y, rcond=None)
-        assert stat_ols_linf(y, design=x) == pytest.approx(
+        assert make_statistic("ols_linf", design=x)(y) == pytest.approx(
             np.max(np.abs(beta)), abs=1e-8
         )
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
-            stat_ols_linf(np.ones(5), design=np.ones((4, 2)))
+            make_statistic("ols_linf", design=np.ones((4, 2)))(np.ones(5))
 
     def test_needs_design(self):
-        with pytest.raises(ValueError, match="design"):
-            stat_ols_linf(np.ones(3))
+        with pytest.raises(ValueError, match="needs design="):
+            make_statistic("ols_linf")
 
 
 class TestTwosampleDiff:
     def test_identical_samples(self):
         x = np.vstack([np.ones((3, 2)), np.ones((4, 2))])
-        assert stat_twosample_diff(x, n=3, n_prime=4) == 0.0
+        assert make_statistic("twosample_diff", n=3, n_prime=4)(x) == 0.0
 
     def test_hand_example(self):
         z = np.tile([1.0, 0.0], (3, 1))
         y = np.tile([0.0, 1.0], (3, 1))
-        assert stat_twosample_diff(np.vstack([z, y]), n=3, n_prime=3, norm="linf") == 1.0
+        diff = make_statistic("twosample_diff", n=3, n_prime=3, norm="linf")
+        assert diff(np.vstack([z, y])) == 1.0
 
     def test_block_swap_symmetry(self):
         gen = RngStream(51006).generator()
         z = gen.standard_normal((4, 3))
         y = gen.standard_normal((5, 3))
-        forward = stat_twosample_diff(np.vstack([z, y]), n=4, n_prime=5, norm="l2")
-        swapped = stat_twosample_diff(np.vstack([y, z]), n=5, n_prime=4, norm="l2")
+        forward = make_statistic("twosample_diff", n=4, n_prime=5, norm="l2")(np.vstack([z, y]))
+        swapped = make_statistic("twosample_diff", n=5, n_prime=4, norm="l2")(np.vstack([y, z]))
         assert forward == pytest.approx(swapped, rel=1e-12)
 
     def test_row_count_mismatch(self):
         with pytest.raises(ValueError, match="rows"):
-            stat_twosample_diff(np.ones((5, 2)), n=3, n_prime=3)
+            make_statistic("twosample_diff", n=3, n_prime=3)(np.ones((5, 2)))
 
     def test_unknown_norm(self):
         with pytest.raises(ValueError, match="norm"):
-            stat_twosample_diff(np.ones((4, 2)), n=2, n_prime=2, norm="l1")
+            make_statistic("twosample_diff", n=2, n_prime=2, norm="l1")(np.ones((4, 2)))
 
 
-def _square_norm(x) -> float:
-    return float(np.sum(np.square(x)))
+def _square_norms(xs) -> np.ndarray:
+    return np.sum(np.square(xs), axis=1)
 
 
-_SQUARE_NORMS = [TestStatistic("sqnorm", 1.0, _square_norm, (6,)),
-                 TestStatistic("sqnorm_half", 0.5, _square_norm, (6,))]
+_SQUARE_NORMS = [TestStatistic("sqnorm", 1.0, _square_norms, (6,)),
+                 TestStatistic("sqnorm_half", 0.5, _square_norms, (6,))]
 
 
 def _loop_violations(f, trials, scale, rng) -> int:
@@ -202,12 +203,7 @@ class TestSubadditivity:
 
     def test_squared_norm_negative_control(self):
         # ||x||_2^2 with psi = 1 must violate; with psi = 1/2 it must not
-        bad = TestStatistic(
-            "sqnorm", 1.0, lambda x: float(np.sum(np.square(x))), (6,)
-        )
-        good = TestStatistic(
-            "sqnorm_half", 0.5, lambda x: float(np.sum(np.square(x))), (6,)
-        )
+        bad, good = _SQUARE_NORMS
         assert check_psi_subadditive(bad, 2000, 1.0, RngStream(51008)) > 0
         assert check_psi_subadditive(good, 2000, 1.0, RngStream(51008)) == 0
 
@@ -232,18 +228,30 @@ class TestStatisticFactory:
         with pytest.raises(ValueError, match="unknown statistic"):
             make_statistic("median")
 
-    def test_unknown_parameter(self):
+    @pytest.mark.parametrize("name, params", [
+        ("colmean_linf", {}), ("linf", {}), ("opnorm", {}), ("kyfan", {"kappa": 2}),
+        ("ols_linf", {"design": np.eye(3)}), ("twosample_diff", {"n": 2, "n_prime": 3}),
+    ], ids=["colmean_linf", "linf", "opnorm", "kyfan", "ols_linf", "twosample_diff"])
+    def test_unknown_parameter(self, name, params):
+        make_statistic(name, **params)
         with pytest.raises(ValueError, match="unknown parameters"):
-            make_statistic("kyfan", kappa=2, bandwidth=0.3)
+            make_statistic(name, **params, bandwidth=0.3)
+
+    @pytest.mark.parametrize("missing", ["n", "n_prime"])
+    def test_missing_parameter_is_named(self, missing):
+        params = {"n": 2, "n_prime": 3}
+        del params[missing]
+        with pytest.raises(ValueError, match=f"needs {missing}="):
+            make_statistic("twosample_diff", **params)
 
     def test_psi_range_enforced(self):
         with pytest.raises(ValueError, match="psi"):
-            TestStatistic("bad", 0.0, stat_linf, (3,))
+            TestStatistic("bad", 0.0, linf.batch, (3,))
         with pytest.raises(ValueError, match="psi"):
-            TestStatistic("bad", 1.5, stat_linf, (3,))
+            TestStatistic("bad", 1.5, linf.batch, (3,))
 
     def test_nonfinite_value_rejected(self):
-        stat = TestStatistic("blowup", 1.0, lambda x: float("inf"), (2,))
+        stat = TestStatistic("blowup", 1.0, lambda xs: np.full(len(xs), np.inf), (2,))
         with pytest.raises(ValueError, match="non-finite"):
             stat(np.ones(2))
 
@@ -290,8 +298,8 @@ def _statistic_and_shape(draw):
 
 
 # derandomized, so that every run of the suite checks the same examples.
-# Each shipped fn is its batch form on a one-image stack; the property checks
-# that an image's value does not depend on the stack it is evaluated in.
+# f(x) is batch on a one-image stack; the property checks that a slice has
+# the same bits in any stack.
 class TestBatchValues:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(stat_shape=_statistic_and_shape(), K=st.integers(1, 20),
@@ -302,19 +310,12 @@ class TestBatchValues:
         if ties:
             stack = np.round(stack)
         stack[0] = stack[0] + 1.0  # keep one slice nonzero
-        assert stat.batch is not None
         values = stat.values(stack)
         assert values.tobytes() == np.array([stat(y) for y in stack]).tobytes()
         assert stat.values(stack[0][None])[0] == stat(stack[0])
 
-    def test_without_batch_loops_over_fn(self):
-        stat = TestStatistic("first", 1.0, lambda x: x[0, 0], (2, 2))
-        stack = np.arange(12.0).reshape(3, 2, 2)
-        assert_array_equal(stat.values(stack), [0.0, 4.0, 8.0])
-
-    @pytest.mark.parametrize("batch", [None, lambda xs: np.full(len(xs), np.nan)])
-    def test_nonfinite_value_rejected(self, batch):
-        stat = TestStatistic("blowup", 1.0, lambda x: float("inf"), (2,), batch)
+    def test_nonfinite_value_rejected(self):
+        stat = TestStatistic("blowup", 1.0, lambda xs: np.full(len(xs), np.nan), (2,))
         with pytest.raises(ValueError, match="non-finite"):
             stat.values(np.ones((3, 2)))
 
@@ -326,7 +327,7 @@ class TestBatchValues:
         (make_statistic("kyfan", kappa=3), np.ones((2, 4, 2)), "kappa"),
     ])
     def test_values_checks_the_slice_shape(self, stat, stack, match):
-        # the same ValueError as fn on one slice
+        # the same ValueError as f on one slice
         with pytest.raises(ValueError, match=match):
             stat(stack[0])
         with pytest.raises(ValueError, match=match):
@@ -392,20 +393,20 @@ class TestBatchOpnorm:
         for m in (a, a.T):
             svd = np.linalg.svd(m, compute_uv=False)[0]
             assume(np.isfinite(svd))
-            assert abs(stat_opnorm(m) - svd) <= 1e-12 * svd
+            assert abs(opnorm(m) - svd) <= 1e-12 * svd
 
     @pytest.mark.parametrize("shape", [(1, 1), (6, 4), (4, 6), (40, 40)])
     def test_zero_and_subnormal_matrices(self, shape):
         a = np.zeros(shape)
-        assert stat_opnorm(a) == 0.0
+        assert opnorm(a) == 0.0
         a[-1, 0] = -5e-324  # the smallest subnormal
-        assert stat_opnorm(a) == 5e-324
+        assert opnorm(a) == 5e-324
 
     @pytest.mark.parametrize("shape", [(32, 100), (100, 32), (6, 4)])
     def test_a_slice_has_the_same_bits_in_any_stack(self, shape):
         # 20 images of 32x100 are one engine block: 2^16 // 3200
         images = RngStream(51040).generator().standard_normal((99, *shape))
-        alone = np.array([stat_opnorm(y) for y in images])
+        alone = np.array([opnorm(y) for y in images])
         for size in (1, 20, 99):
             for start in range(0, 99, size):
                 block = images[start:start + size]
@@ -413,8 +414,8 @@ class TestBatchOpnorm:
 
 
 # derandomized, so that every run of the suite checks the same examples.
-# t0 sits on one image's SVD value or 1-4 ulps off it, where the Cholesky
-# certificate cannot decide and the SVD fallback has to.
+# t0 sits on one image's batch_opnorm value or 1-4 ulps off it, where the
+# Cholesky certificate cannot decide and the batch_opnorm fallback has to.
 class TestOpnormAgainst:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
@@ -426,17 +427,17 @@ class TestOpnormAgainst:
         gen = np.random.default_rng(seed)
         images = 10.0 ** log_scale * gen.standard_normal((K, n, p))
         images[:, :, gen.permutation(p)[:min(zero_cols, p - 1)]] = 0.0
-        svd = np.linalg.svd(images, compute_uv=False)[:, 0]
-        t0 = svd[pick % K]
+        ref = batch_opnorm(images)
+        t0 = ref[pick % K]
         for _ in range(abs(ulps)):
             t0 = np.nextafter(t0, np.copysign(np.inf, ulps))
         values = opnorm_against(images, float(t0))
-        assert (values < t0).sum() == (svd < t0).sum()
-        assert_array_equal(values < t0, svd < t0)
+        assert (values < t0).sum() == (ref < t0).sum()
+        assert_array_equal(values < t0, ref < t0)
         near = np.isfinite(values)
-        assert values[near].tobytes() == svd[near].tobytes()
-        if ulps == 0:  # exactly on a value: only the SVD can say "not below"
-            assert values[pick % K] == svd[pick % K]
+        assert values[near].tobytes() == ref[near].tobytes()
+        if ulps == 0:  # exactly on a value: only the fallback can say "not below"
+            assert values[pick % K] == ref[pick % K]
 
     def test_far_values_are_certified(self):
         images = np.stack([np.diag([1.0, 0.5]), np.diag([3.0, 2.0])])
@@ -452,7 +453,7 @@ class TestOpnormAgainst:
         # lie below any positive threshold
         x = np.zeros((6, 4))
         images = np.zeros((3, 6, 4))
-        t0 = stat_opnorm(x)
+        t0 = opnorm(x)
         assert t0 == 0.0
         assert not np.any(opnorm_against(images, t0) < t0)
         assert_array_equal(opnorm_against(images, 1.0), np.full(3, -np.inf))
@@ -460,5 +461,4 @@ class TestOpnormAgainst:
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_out_of_range_scales_take_the_svd(self, scale):
         images = scale * RngStream(51031).generator().standard_normal((3, 4, 4))
-        svd = np.linalg.svd(images, compute_uv=False)[:, 0]
-        assert opnorm_against(images, scale).tobytes() == svd.tobytes()
+        assert opnorm_against(images, scale).tobytes() == batch_opnorm(images).tobytes()
