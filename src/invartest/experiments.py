@@ -14,6 +14,13 @@ are summed as integers, so any chunking of the units, and hence any worker
 count, gives the same output.  A lowrank method stops drawing once its
 decision is settled and reads only a prefix of its own child(1 + i); the
 values it does read are those of the full draw, so the output is unchanged.
+A chunk derives all its units' streams in one pass
+(``numerics.stream_generators``); each generator is bit-identical to
+RngStream(seed, u).child(c).generator(), which
+``tests/test_numerics.py::TestStreamGenerators`` checks against NumPy's
+SeedSequence.  The CSV bytes are fixed by (config, seed) for a given NumPy:
+NEP 19 keeps the bit generators stable but lets Generator methods change
+between releases.
 """
 
 from __future__ import annotations
@@ -32,7 +39,13 @@ import numpy as np
 from .engine import decide, decide_stopping, order_index
 from .groups import _column_sphere_images, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, sample_noise
-from .numerics import RngStream, normal_quantile, pseudo_inverse, student_t_quantile
+from .numerics import (
+    RngStream,
+    normal_quantile,
+    pseudo_inverse,
+    stream_generators,
+    student_t_quantile,
+)
 from .statistics import batch_opnorm, opnorm_against
 from .theory import (
     ConsistencyInputs,
@@ -129,6 +142,14 @@ class ScenarioConfig:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not self.grid:
             raise ValueError("signal grid must be nonempty")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if len(self.grid) * self.replicates > 2 ** 32:
+            # a unit's stream id is one 32-bit word of its spawn key
+            raise ValueError(
+                f"grid has {len(self.grid)} points x replicates {self.replicates} = "
+                f"{len(self.grid) * self.replicates} units, more than 2**32"
+            )
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.methods:
@@ -434,7 +455,7 @@ _CONFIG_FACTORIES = {
 
 # ---------------------------------------------------------------------------
 # scenarios under one unit loop: setup(cfg, methods) computes per-chunk
-# constants; unit(cfg, constants, signal, noise stream, (method, generator)
+# constants; unit(cfg, constants, signal, noise generator, (method, generator)
 # pairs) draws one unit and yields one rejection per method, in method order.
 # Every group draw goes through the helpers in groups.py; each unit keeps
 # only its statistic's arithmetic on the draw.
@@ -452,10 +473,9 @@ def _sparse_setup(cfg: ScenarioConfig, parsed) -> tuple[float, dict]:
 
 def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
     t_det, specs = const
-    noise_gen = noise.generator()
     drawn = {}
     for df, spec in specs.items():  # one matrix per df, drawn in sorted order
-        x = sample_noise(spec, noise_gen)
+        x = sample_noise(spec, noise)
         x[:, 0] += mu
         c = x.mean(axis=0)
         drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c))
@@ -550,14 +570,16 @@ def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     setup, unit = _SCENARIO_UNITS[cfg.scenario]
     const = setup(cfg, parsed) if setup else None
     counts = np.zeros((len(cfg.grid), len(parsed)), dtype=np.int64)
+    # the noise stream is child 0 and method m's is child 1 + m; deterministic
+    # and t_test (K = 0) draw nothing, so get no generator
+    children = [0] + [1 + m for m, meth in enumerate(parsed) if meth.K]
+    gens = stream_generators(cfg.seed, [(u, c) for u in range(lo, hi)
+                                        for c in children])
     for u in range(lo, hi):
         g = u // cfg.replicates
-        stream = RngStream(cfg.seed, u)
-        # deterministic and t_test (K = 0) draw nothing, so get no generator
-        gens = [stream.child(1 + m).generator() if meth.K else None
-                for m, meth in enumerate(parsed)]
-        counts[g] += list(unit(cfg, const, cfg.grid[g], stream.child(0),
-                               zip(parsed, gens)))
+        noise = next(gens)
+        methods = [(meth, next(gens) if meth.K else None) for meth in parsed]
+        counts[g] += list(unit(cfg, const, cfg.grid[g], noise, methods))
     return counts
 
 

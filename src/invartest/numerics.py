@@ -6,13 +6,17 @@ stateful-looking object and it is a frozen address, not a mutable state.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 __all__ = [
     "RngStream",
+    "stream_generators",
     "as_generator",
     "as_matrix",
     "as_vector",
@@ -49,6 +53,100 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Derived independent stream, e.g. one per randomization method."""
         return RngStream(self.seed, self.stream_id, self.path + (index,))
+
+
+# SeedSequence's hash constants (O'Neill's seed_seq mixing, as NumPy writes it)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_consts(start: int, mult: int, count: int) -> list[int]:
+    """start, start * mult, ..., the count + 1 hash constants of count steps."""
+    out = [start]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value: int, const: int) -> int:
+    """One hashmix step on a Python int; const is the step's constant."""
+    value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """mix on Python ints or on uint32 arrays, which wrap mod 2**32."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ r >> 16
+
+
+class _FixedState(ISeedSequence):
+    """A seed sequence whose only state is a precomputed
+    ``generate_state(4, np.uint64)``, the one call PCG64 makes."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a fixed state only answers generate_state(4, np.uint64)")
+        return self.state
+
+
+def stream_generators(seed: int, keys) -> Iterator[np.random.Generator]:
+    """The generators of ``SeedSequence(seed, spawn_key=key)`` for each row of
+    keys, bit for bit, with the entropy hash computed for all rows at once.
+    Each generator is built when the iterator reaches it, so a caller that
+    uses them in turn holds one at a time.
+
+    keys is an (n, length) array of spawn keys, every entry in [0, 2**32), so
+    that each entry is one 32-bit word; row (u, *path) gives the stream of
+    ``RngStream(seed, u, tuple(path)).generator()``.  The seed fills the
+    pool on its own (SeedSequence pads it to the pool size before a spawn
+    key), so only the key words are mixed as arrays.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    keys = np.asarray(keys)
+    if keys.ndim != 2:
+        raise ValueError(f"keys must be an (n, length) array, got ndim={keys.ndim}")
+    if keys.size and (keys.min() < 0 or keys.max() > _MASK32):
+        raise ValueError("spawn-key entries must lie in [0, 2**32)")
+    if keys.size and keys.dtype.kind not in "iu":
+        raise ValueError(f"spawn-key entries must be integers, got {keys.dtype}")
+    words = [seed & _MASK32]  # little-endian 32-bit words, as SeedSequence splits it
+    while seed := seed >> 32:
+        words.append(seed & _MASK32)
+    words += [0] * (_POOL - len(words))
+    # one hashmix constant per step: _POOL ** 2 steps fill and mix the pool,
+    # then each word beyond it (seed words, then key words) takes _POOL
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + keys.shape[1]))
+    steps = iter(consts)
+    pool = [_hashmix(w, next(steps)) for w in words[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+    for w in words[_POOL:]:
+        pool = [_mix(p, _hashmix(w, next(steps))) for p in pool]
+    # the seed alone fixes the pool so far; each key word now mixes into
+    # every pool word, for all rows at once
+    mixer = np.array(pool, dtype=np.uint32)[:, None]
+    for j, col in enumerate(keys.T.astype(np.uint32)):
+        at = _POOL * (len(words) + j)
+        c = np.array(consts[at:at + _POOL + 1], dtype=np.uint32)[:, None]
+        h = (col ^ c[:-1]) * c[1:]
+        mixer = _mix(mixer, h ^ h >> 16)
+    b = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
+    out = (np.concatenate([mixer, mixer]) ^ b[:-1]) * b[1:]  # generate_state's 8 words
+    out ^= out >> 16
+    out = np.broadcast_to(out.astype(np.uint64), (2 * _POOL, keys.shape[0]))
+    states = np.ascontiguousarray((out[0::2] | out[1::2] << 32).T)
+    return (np.random.Generator(np.random.PCG64(_FixedState(s))) for s in states)
 
 
 def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:

@@ -179,11 +179,11 @@ def _check_opnorm(stream: RngStream, budget: dict) -> CheckResult:
         if operator_norm(a + b) > s + operator_norm(b) + 1e-9:
             details.append("triangle inequality violated")
     if gap > 1e-12:
-        details.append(f"stat_opnorm off the SVD by {gap:.3e} relative")
+        details.append(f"opnorm statistic off the SVD by {gap:.3e} relative")
     return _result("opnorm_properties", not details,
                    "; ".join(details) if details else
                    f"{budget['opnorm_mats']} matrices, 100 vectors each, "
-                   f"stat_opnorm within {gap:.1e} of the SVD")
+                   f"opnorm statistic within {gap:.1e} of the SVD")
 
 
 def _check_quantile_roundtrip(stream: RngStream, budget: dict) -> CheckResult:
@@ -495,14 +495,16 @@ def _check_bernoulli_se(stream: RngStream, budget: dict) -> CheckResult:
 # ---------------------------------------------------------------------------
 # experiments
 
-def null_levels(labeled: list[tuple[str, _exp.ScenarioConfig]]) -> CheckResult:
-    """Run each (label, config) at signal 0 and check every method's level
-    within 3 binomial SE of its target: alpha for the deterministic and t
-    tests, floor(alpha (K+1))/(K+1) for a test with K randomized values."""
+def null_levels(labeled: list[tuple[str, _exp.ScenarioConfig]],
+                workers: int = 1) -> CheckResult:
+    """Run each (label, config) at signal 0 on ``workers`` processes and
+    check every method's level within 3 binomial SE of its target: alpha
+    for the deterministic and t tests, floor(alpha (K+1))/(K+1) for a test
+    with K randomized values."""
     fails = []
     details = []
     for label, cfg in labeled:
-        curve = _exp.run_experiment(cfg)
+        curve = _exp.run_experiment(cfg, workers=workers)
         for method in curve.methods:
             parsed = _exp._parse_method(method, cfg.alpha)
             target = cfg.alpha if parsed.kind in ("deterministic", "t_test") else \

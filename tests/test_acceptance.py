@@ -21,6 +21,7 @@ invariants through one implementation.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -55,6 +56,10 @@ from invartest.validation import (
 )
 
 _FULL = _BUDGETS["full"]
+# the power-study criteria (02-05) run on two processes where there are two
+# cores; the CSV, and so every count they assert, is the same at any
+# worker count (criterion 10)
+_WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _assert_passed(result) -> None:
@@ -142,7 +147,7 @@ def test_criterion_02_sampled_test_level_control():
         )))
     labeled.append(("iid entries", heavy_tail_config(20260204, grid_points=1,
                                                      replicates=10000)))
-    _assert_passed(null_levels(labeled))
+    _assert_passed(null_levels(labeled, workers=_WORKERS))
 
 
 def test_criterion_03_sparse_vector_power_curves():
@@ -154,7 +159,7 @@ def test_criterion_03_sparse_vector_power_curves():
     keeps K = 99 within 0.05 of K = 19 from below, pointwise.
     """
     start = time.monotonic()
-    curve = run_experiment(sparse_vector_config(20260301))
+    curve = run_experiment(sparse_vector_config(20260301), workers=_WORKERS)
     det = curve.series("deterministic")
     rand_labels = ("signflip_K19", "signflip_K99", "rotation_K19", "rotation_K99")
 
@@ -190,7 +195,7 @@ def test_criterion_04_heavy_tail_power_curves():
     curve stays above the t(3) curve up to 2 (SE_3 + SE_5), pointwise, for
     both K = 19 and K = 99.
     """
-    curve = run_experiment(heavy_tail_config(20260401))
+    curve = run_experiment(heavy_tail_config(20260401), workers=_WORKERS)
 
     for label in curve.methods:
         power = curve.series(label)
@@ -216,7 +221,7 @@ def test_criterion_05_two_sample_power_curves():
     within three binomial SE of 0.05.
     """
     start = time.monotonic()
-    curve = run_experiment(two_sample_config(20260501))
+    curve = run_experiment(two_sample_config(20260501), workers=_WORKERS)
     perm = curve.series("permutation_K99")
     tt = curve.series("t_test")
     se_perm = curve.se_series("permutation_K99")

@@ -103,6 +103,18 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValueError, match="replicates"):
             sparse_vector_config(seed=1, replicates=0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            two_sample_config(seed=-3)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
+            two_sample_config(seed=1.5)
+
+    def test_units_fit_one_key_word(self):
+        # 2 grid points x 2**31 replicates is exactly 2**32 units, the limit
+        assert two_sample_config(seed=1, grid_points=2, replicates=2**31).replicates == 2**31
+        with pytest.raises(ValueError, match=r"grid has 3 points x replicates 2147483648"):
+            two_sample_config(seed=1, grid_points=3, replicates=2**31)
+
     def test_grid_distinct(self):
         with pytest.raises(ValueError, match="distinct"):
             ScenarioConfig(

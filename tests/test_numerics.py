@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
@@ -20,6 +22,7 @@ from invartest.numerics import (
     qr_orthonormalize,
     sample_chi2,
     sample_f,
+    stream_generators,
     student_t_quantile,
 )
 
@@ -280,6 +283,50 @@ class TestRngStream:
         assert as_generator(RngStream(5)).standard_normal() == pytest.approx(
             RngStream(5).generator().standard_normal()
         )
+
+
+# seeds of 1, 2, 3, 4 and 6 words: 2**160 + 2**37 + 5 has more words than
+# the pool of 4, so SeedSequence mixes its last two words in afterwards
+_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1, 2**160 + 2**37 + 5)
+# key entries: small stream ids as the experiments use them, and full words
+_KEY_WORD = st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _spawn_keys(draw):
+    length = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_KEY_WORD, min_size=length, max_size=length),
+                         min_size=1, max_size=6))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), length)
+
+
+class TestStreamGenerators:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.sampled_from(_SEEDS), keys=_spawn_keys())
+    def test_states_match_seed_sequence(self, seed, keys):
+        for key, gen in zip(keys, stream_generators(seed, keys), strict=True):
+            ref = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
+            assert_array_equal(gen.bit_generator.seed_seq.generate_state(4, np.uint64),
+                               ref.generate_state(4, np.uint64))
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_generators_match_rngstream(self, seed):
+        keys = [(u, c) for u in (0, 1, 7, 2**32 - 1) for c in (0, 1, 5)]
+        for (u, c), gen in zip(keys, stream_generators(seed, keys), strict=True):
+            ref = RngStream(seed, u).child(c).generator()
+            assert gen.bit_generator.state == ref.bit_generator.state
+            assert_array_equal(gen.standard_normal(8), ref.standard_normal(8))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="seed"):
+            stream_generators(-1, [(0, 0)])
+        for bad in ([(0, -1)], [(2**32, 0)], [(0, 2**70)]):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+                stream_generators(1, bad)
+        with pytest.raises(ValueError, match="integers"):
+            stream_generators(1, [(0.5, 1.0)])
+        with pytest.raises(ValueError, match="array"):
+            stream_generators(1, [0, 1])
 
 
 class TestInputValidation:
