@@ -282,7 +282,37 @@ def _cmd_test(args) -> int:
           f"strictly below t0)")
     print(f"reject = {outcome.reject}")
     print(f"p_value = {outcome.p_value:.17g}")
+    _print_orbit_diagnostics(outcome, args.group, data.shape[0])
     return 0
+
+
+def _finite_group_order(group: str, n: int, bound: int) -> int | None:
+    """The order of the signflip (2^n) or permutation (n!) group on n rows
+    when it is below bound; None for rotations and for larger groups."""
+    if group not in ("signflip", "permutation"):
+        return None
+    order = 1
+    for i in range(1, n + 1):
+        order *= 2 if group == "signflip" else i
+        if order >= bound:
+            return None
+    return order
+
+
+def _print_orbit_diagnostics(outcome, group: str, rows: int) -> None:
+    """Ties with t0, the orbit's spread and a small group's order, on stderr
+    so that stdout stays the test's result alone. A tie never rejects and
+    counts toward the p-value, so ties make the test conservative."""
+    values = outcome.randomized
+    K = values.size
+    ties = int(np.count_nonzero(values == outcome.t0))
+    print(f"orbit: {ties} of the K={K} values tie with t0", file=sys.stderr)
+    print(f"orbit: min = {values.min():.17g}, median = {np.median(values):.17g}, "
+          f"max = {values.max():.17g}", file=sys.stderr)
+    order = _finite_group_order(group, rows, K + 1)
+    if order is not None:
+        print(f"orbit: the group has {order} elements, fewer than K+1 = {K + 1}",
+              file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def order_index(K: int, alpha: float) -> int:
 
 
 def count_below(t0: float, randomized: np.ndarray) -> int:
-    return int(np.sum(randomized < t0))
+    return int(np.count_nonzero(randomized < t0))
 
 
 def decide(t0: float, randomized: np.ndarray, k: int) -> bool:
@@ -125,7 +125,7 @@ def decide_stopping(t0: float, orbit, K: int, k: int) -> bool:
 
 
 def p_value_from_counts(t0: float, randomized: np.ndarray) -> float:
-    return (1.0 + int(np.sum(randomized >= t0))) / (randomized.size + 1.0)
+    return (1.0 + int(np.count_nonzero(randomized >= t0))) / (randomized.size + 1.0)
 
 
 def all_sign_patterns(n: int) -> np.ndarray:

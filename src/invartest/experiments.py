@@ -169,6 +169,13 @@ class ScenarioConfig:
                 raise ValueError(f"method {meth.label!r}: df suffix not valid here")
         if self.scenario == "two_sample" and self.n2 is None:
             raise ValueError("two_sample scenario needs n2")
+        if any(meth.kind == "t_test" for meth in parsed):
+            for name in ("n", "n2"):
+                if getattr(self, name) < 2:
+                    raise ValueError(
+                        f"t_test needs at least 2 observations per sample, "
+                        f"got {name} = {getattr(self, name)}"
+                    )
         if self.noise is None:
             raise ValueError("noise spec is required")
         rows = self.n + self.n2 if self.scenario == "two_sample" else self.n
@@ -494,20 +501,30 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
             yield decide(t0, vals, meth.k)
 
 
-def _two_sample_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
+def _two_sample_setup(cfg: ScenarioConfig, parsed) -> float | None:
+    """The t-test's two-sided critical value, or None when no t_test is
+    listed (a permutation-only config may have a sample of size 1)."""
+    if not any(meth.kind == "t_test" for meth in parsed):
+        return None
+    return student_t_quantile(1.0 - cfg.alpha / 2.0, cfg.n + cfg.n2 - 2)
+
+
+def _two_sample_unit(cfg: ScenarioConfig, t_crit, mu: float, noise, methods):
+    # np.add.reduce(.) / n is what ndarray.mean computes, without its wrapper
     n = cfg.n
     w = sample_noise(cfg.noise, noise)[:, 0]
-    z = w[:n]
-    y = w[n:] + mu
-    w = np.concatenate([z, y])
-    centered = w - w.mean()  # grand mean is the nuisance direction
-    t0 = abs(float(centered[:n].mean() - centered[n:].mean()))
+    w[n:] += mu
+    centered = w - np.add.reduce(w) / w.size  # grand mean is the nuisance direction
+    t0 = abs(float(np.add.reduce(centered[:n]) / n
+                   - np.add.reduce(centered[n:]) / cfg.n2))
     for meth, gen in methods:
         if meth.kind == "t_test":
-            yield two_sample_t_test(z, y, cfg.alpha)
+            t = _pooled_t(w[:n], w[n:])
+            yield t is not None and abs(t) > t_crit
         else:
             shuffled = centered[_permutations(meth.K, w.size, gen)]
-            vals = np.abs(shuffled[:, :n].mean(axis=1) - shuffled[:, n:].mean(axis=1))
+            vals = np.abs(np.add.reduce(shuffled[:, :n], axis=1) / n
+                          - np.add.reduce(shuffled[:, n:], axis=1) / cfg.n2)
             yield decide(t0, vals, meth.k)
 
 
@@ -552,12 +569,12 @@ def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
         yield decide(t0, vals, meth.k)
 
 
-# (setup or None, unit) per scenario; heavy_tail is the sparse scenario under
+# (setup, unit) per scenario; heavy_tail is the sparse scenario under
 # Student t noise
 _SCENARIO_UNITS = {
     "sparse_vector": (_sparse_setup, _sparse_unit),
     "heavy_tail": (_sparse_setup, _sparse_unit),
-    "two_sample": (None, _two_sample_unit),
+    "two_sample": (_two_sample_setup, _two_sample_unit),
     "lowrank": (_lowrank_setup, _lowrank_unit),
     "regression": (_regression_setup, _regression_unit),
 }
@@ -568,7 +585,7 @@ def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     processes can unpickle it."""
     parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
     setup, unit = _SCENARIO_UNITS[cfg.scenario]
-    const = setup(cfg, parsed) if setup else None
+    const = setup(cfg, parsed)
     counts = np.zeros((len(cfg.grid), len(parsed)), dtype=np.int64)
     # the noise stream is child 0 and method m's is child 1 + m; deterministic
     # and t_test (K = 0) draw nothing, so get no generator
@@ -655,6 +672,28 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
                       cfg.replicates, cfg.seed, notes=notes)
 
 
+def _pooled_t(z: np.ndarray, y: np.ndarray) -> float | None:
+    """The pooled-variance t statistic of two 1-D float samples of at least 2
+    values each, or None when the pooled variance is 0.
+
+    Means and ``var(ddof=1)`` are taken as ``np.add.reduce`` then true
+    division, the reductions ndarray.mean and ndarray.var run inside, so the
+    value is bitwise (z.mean() - y.mean()) / sqrt(pooled * (1/n + 1/m))
+    without the cost of their wrappers.
+    """
+    n, m = z.size, y.size
+    mz = np.add.reduce(z) / n
+    my = np.add.reduce(y) / m
+    dz = z - mz
+    dy = y - my
+    var_z = np.add.reduce(dz * dz) / (n - 1)
+    var_y = np.add.reduce(dy * dy) / (m - 1)
+    pooled = ((n - 1) * var_z + (m - 1) * var_y) / (n + m - 2)
+    if pooled <= 0.0:
+        return None
+    return (mz - my) / math.sqrt(pooled * (1.0 / n + 1.0 / m))
+
+
 def two_sample_t_test(z, y, alpha: float) -> bool:
     """Pooled-variance two-sided two-sample t-test for univariate samples."""
     z = np.asarray(z, dtype=float).ravel()
@@ -663,11 +702,8 @@ def two_sample_t_test(z, y, alpha: float) -> bool:
         raise ValueError("both samples need at least 2 observations")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    n, m = z.size, y.size
-    df = n + m - 2
-    pooled = ((n - 1) * z.var(ddof=1) + (m - 1) * y.var(ddof=1)) / df
-    if pooled <= 0.0:
+    t = _pooled_t(z, y)
+    if t is None:
         logger.warning("zero pooled variance in two-sample t-test; not rejecting")
         return False
-    t = (z.mean() - y.mean()) / math.sqrt(pooled * (1.0 / n + 1.0 / m))
-    return bool(abs(t) > student_t_quantile(1.0 - alpha / 2.0, df))
+    return bool(abs(t) > student_t_quantile(1.0 - alpha / 2.0, z.size + y.size - 2))

@@ -282,6 +282,27 @@ class TestTestSubcommand:
         assert "single data column" in err
         assert "3" in err
 
+    def test_orbit_diagnostics_on_stderr(self, tmp_path, capsys):
+        # signflips on 6 rows form a group of 64 < K+1 = 100 elements; with
+        # distinct |x_i| only the identity and the global flip tie with t0,
+        # and each tie counts toward the p-value: (1 + 6) / 100
+        path = write_matrix(tmp_path, [[0.5], [1.0], [1.5], [2.0], [2.5], [3.0]])
+        rc = cli.main(
+            ["test", "--data", str(path), "--stat", "colmean_linf",
+             "--group", "signflip", "--K", "99", "--alpha", "0.05",
+             "--seed", "5"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "orbit" not in captured.out
+        assert "p_value = 0.070000000000000007" in captured.out
+        assert captured.err.splitlines() == [
+            "orbit: 6 of the K=99 values tie with t0",
+            "orbit: min = 0.083333333333333329, median = 0.58333333333333337, "
+            "max = 1.75",
+            "orbit: the group has 64 elements, fewer than K+1 = 100",
+        ]
+
     def test_header_row_detected(self, tmp_path, capsys):
         path = write_matrix(
             tmp_path, [[0.1, 0.2], [0.3, 0.4]], header="x1,x2"

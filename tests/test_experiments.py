@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 from scipy import stats
 
@@ -161,6 +164,18 @@ class TestScenarioConfigValidation:
                 "two_sample", 10, 1, None, NoiseSpec("iid_normal", 20, 1),
                 (0.0,), ("t_test",), 0.05, 10, 1,
             )
+
+    @pytest.mark.parametrize("n, n2, field", [(1, 5, "n = 1"), (5, 1, "n2 = 1")])
+    def test_t_test_needs_two_observations_per_sample(self, n, n2, field):
+        with pytest.raises(ValueError, match=f"got {field}$"):
+            two_sample_config(1, n=n, n2=n2)
+
+    def test_permutation_only_allows_one_observation(self):
+        cfg = ScenarioConfig(
+            "two_sample", 1, 1, 3, NoiseSpec("iid_normal", 4, 1),
+            (0.0, 1.0), ("permutation_K19",), 0.05, 20, 1,
+        )
+        assert run_experiment(cfg).counts.shape == (2, 1)
 
     def test_noise_shape_checked(self):
         with pytest.raises(ValueError, match="noise spec"):
@@ -396,6 +411,22 @@ class TestRunners:
             assert reject == out.reject
 
 
+    def test_two_sample_t_test_unit_is_the_public_test(self):
+        # each unit's t_test decision, read from a one-unit chunk, against
+        # two_sample_t_test on the unit's own noise draw
+        cfg = two_sample_config(11, n=7, n2=9, grid_points=4, grid_high=2.0,
+                                replicates=25, K=19)
+        col = cfg.methods.index("t_test")
+        rejections = 0
+        for u in range(len(cfg.grid) * cfg.replicates):
+            g = u // cfg.replicates
+            w = sample_noise(cfg.noise, RngStream(cfg.seed, u).child(0))[:, 0]
+            expected = two_sample_t_test(w[:cfg.n], w[cfg.n:] + cfg.grid[g], cfg.alpha)
+            assert experiments._chunk(cfg, u, u + 1)[g, col] == expected
+            rejections += expected
+        assert 0 < rejections < 100
+
+
 class TestTwoSampleTTest:
     def test_matches_scipy_oracle(self):
         gen = np.random.Generator(np.random.PCG64(90008))
@@ -423,3 +454,20 @@ class TestTwoSampleTTest:
             two_sample_t_test([1.0], [1.0, 2.0], 0.05)
         with pytest.raises(ValueError, match="alpha"):
             two_sample_t_test([1.0, 2.0], [3.0, 4.0], 0.0)
+
+
+class TestPooledT:
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(z=arrays(np.float64, st.integers(2, 40), elements=st.floats(-1e3, 1e3)),
+           y=arrays(np.float64, st.integers(2, 40), elements=st.floats(-1e3, 1e3)),
+           scale=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3))
+    def test_bitwise_the_ndarray_expression(self, z, y, scale, shift):
+        z = z * scale + shift
+        n, m = z.size, y.size
+        pooled = ((n - 1) * z.var(ddof=1) + (m - 1) * y.var(ddof=1)) / (n + m - 2)
+        t = experiments._pooled_t(z, y)
+        if pooled <= 0.0:
+            assert t is None
+            return
+        expected = (z.mean() - y.mean()) / math.sqrt(pooled * (1.0 / n + 1.0 / m))
+        assert float(t).hex() == float(expected).hex()
