@@ -292,8 +292,10 @@ def project_out_nuisance(x, basis) -> np.ndarray:
         raise ValueError(
             f"basis vectors have length {b.shape[0]}, data has {arr.shape[0]} rows"
         )
+    # the SVD reports only min(n, m) singular values, so a basis with more
+    # vectors than rows, always dependent, needs its own test
     sv = np.linalg.svd(b, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
+    if b.shape[1] > b.shape[0] or sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("nuisance basis is (numerically) linearly dependent")
     q, _ = np.linalg.qr(b)
     return arr - q @ (q.T @ arr)

@@ -370,6 +370,9 @@ def heavy_tail_config(
     dfs: tuple[int, ...] = (3, 5),
 ) -> ScenarioConfig:
     """Sparse scenario with iid Student t entries; signflip tests only."""
+    for key, values in (("dfs", dfs), ("ks", ks)):
+        if not values:
+            raise ValueError(f"heavy_tail needs at least one entry in {key!r}")
     methods = [f"signflip_K{k}_t{df}" for df in dfs for k in ks]
     return ScenarioConfig(
         scenario="heavy_tail",

@@ -214,8 +214,14 @@ class ConsistencyInputs:
         for name in ("s_inf", "s_2", "s_op", "s_2inf", "delta", "t", "t2",
                      "t_tilde", "u_plus"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        # lowrank divides by sqrt(n), sparse_rotation by sqrt(2 log p)
+        least_p = 2 if self.proposition == "sparse_rotation" else 1
+        for name, least in (("n", 1), ("p", least_p)):
+            value = getattr(self, name)
+            if value is not None and not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,20 @@ class TestTheorySubcommand:
         assert rc == 2
         assert "q" in err
 
+    @pytest.mark.parametrize("args, named", [
+        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=1"], "p must be at least 2"),
+        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=0"], "p must be at least 2"),
+        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=0", "p=3"], "n must be at least 1"),
+        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=-4", "p=3"], "n must be at least 1"),
+        (["sparse_signflip", "s_inf=4", "t=nan"], "t must be nonnegative"),
+    ])
+    def test_margin_bad_value_named(self, capsys, args, named):
+        rc = cli.main(["theory", "margin", *args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+
     def test_duplicate_parameter(self, capsys):
         rc = cli.main(["theory", "varL-lowrank", "n=2", "n=3", "tau=1"])
         assert rc == 2
@@ -382,16 +396,21 @@ class TestSimulateSubcommand:
 
     def test_seed_flag_overrides_config(self, tmp_path, capsys):
         config = write_config(tmp_path)
+        seeded = write_config(tmp_path, name="seeded.json", seed=999)
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
-        cli.main(["simulate", "--config", str(config), "--out", str(out1),
-                  "--seed", "999"])
-        cli.main(["simulate", "--config", str(config), "--out", str(out2)])
+        out3 = tmp_path / "c.csv"
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out1),
+                         "--seed", "999"]) == 0
+        assert cli.main(["simulate", "--config", str(config), "--out", str(out2)]) == 0
+        assert cli.main(["simulate", "--config", str(seeded), "--out", str(out3)]) == 0
         capsys.readouterr()
         a = PowerCurve.load_csv(out1)
         b = PowerCurve.load_csv(out2)
         assert a.seed == 999
         assert b.seed == 4242
+        # the flag gives the bytes of a config that holds its seed
+        assert out1.read_bytes() == out3.read_bytes()
 
     def test_unknown_top_level_key(self, tmp_path, capsys):
         config = write_config(tmp_path, notes="hello")
@@ -463,6 +482,8 @@ class TestSimulateSubcommand:
     @pytest.mark.parametrize("scenario", [
         {"name": "sparse_vector", "alpha": 0.05, "ks": 19},
         {"name": "heavy_tail", "alpha": 0.05, "dfs": "3"},
+        {"name": "heavy_tail", "alpha": 0.05, "ks": []},
+        {"name": "heavy_tail", "alpha": 0.05, "dfs": []},
     ])
     def test_scalar_list_key_named(self, tmp_path, capsys, scenario):
         config = write_config(tmp_path, scenario=scenario)
@@ -471,7 +492,6 @@ class TestSimulateSubcommand:
         assert rc == 2
         key = "ks" if "ks" in scenario else "dfs"
         assert err.startswith("error:") and repr(key) in err
-
 
     @pytest.mark.parametrize("key, overrides", [
         ("replicates", {"scenario": {**TWO_SAMPLE, "replicates": 10.5}}),

@@ -159,15 +159,22 @@ class TestRunRandomizationTest:
         assert abs(freq - 0.05) <= 3 * np.sqrt(0.05 * 0.95 / reps)
 
     def test_reproducible(self):
-        stat = make_statistic("linf", sample_shape=(5,))
-        action = GroupAction("rotate_full", p=5)
-        cfg = RandTestConfig(K=9, alpha=0.2)
-        x = RngStream(61005).generator().standard_normal(5)
-        a = run_randomization_test(x, stat, action, cfg, RngStream(88))
-        b = run_randomization_test(x, stat, action, cfg, RngStream(88))
-        assert a.t0 == b.t0
-        assert_array_equal(a.randomized, b.randomized)
-        assert a.reject == b.reject and a.p_value == b.p_value
+        # linf under rotate_full evaluates the K images; colmean_linf under
+        # signflips takes the reduced path through the row sums
+        cases = [
+            (make_statistic("linf", sample_shape=(5,)), GroupAction("rotate_full", p=5),
+             RandTestConfig(K=9, alpha=0.2),
+             RngStream(61005).generator().standard_normal(5)),
+            (make_statistic("colmean_linf", sample_shape=(16, 5)),
+             GroupAction("signflip_rows", n=16), RandTestConfig(K=19, alpha=0.05),
+             RngStream(61015).generator().standard_normal((16, 5))),
+        ]
+        for stat, action, cfg, x in cases:
+            a = run_randomization_test(x, stat, action, cfg, RngStream(88))
+            b = run_randomization_test(x, stat, action, cfg, RngStream(88))
+            assert a.t0 == b.t0
+            assert_array_equal(a.randomized, b.randomized)
+            assert a.reject == b.reject and a.p_value == b.p_value
 
 
 class TestRunMaxTest:
@@ -274,6 +281,12 @@ class TestProjectOutNuisance:
     def test_dependent_basis_rejected(self):
         with pytest.raises(ValueError, match="dependent"):
             project_out_nuisance(np.ones((4, 2)), [np.ones(4), 2.0 * np.ones(4)])
+
+    def test_more_vectors_than_rows_rejected(self):
+        gen = RngStream(61014).generator()
+        with pytest.raises(ValueError, match="dependent"):
+            project_out_nuisance(gen.standard_normal((3, 2)),
+                                 list(gen.standard_normal((4, 3))))
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):

@@ -347,6 +347,8 @@ class TestRunners:
             curve.notes["margin_tau_top"]
             < curve.notes["deterministic_margin_tau_top"]
         )
+        # real float notes survive the CSV round trip
+        assert PowerCurve.from_csv(curve.to_csv()) == curve
 
     def test_reruns_identical(self):
         cfg = two_sample_config(seed=90006, grid_points=3, replicates=60, K=19)

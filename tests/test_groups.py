@@ -195,23 +195,25 @@ class TestApplyAction:
 class TestCompose:
     def test_signflip_composition_exact(self):
         gen = RngStream(41016).generator()
-        x = gen.standard_normal((6, 2))
-        for _ in range(50):
-            g = sample_signflips(6, gen)
-            h = sample_signflips(6, gen)
-            assert_array_equal(
-                apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
-            )
+        for n in range(2, 9):
+            x = gen.standard_normal((n, 2))
+            for _ in range(50):
+                g = sample_signflips(n, gen)
+                h = sample_signflips(n, gen)
+                assert_array_equal(
+                    apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
+                )
 
     def test_permutation_composition_exact(self):
         gen = RngStream(41017).generator()
-        x = gen.standard_normal((5, 2))
-        for _ in range(50):
-            g = sample_permutation(5, gen)
-            h = sample_permutation(5, gen)
-            assert_array_equal(
-                apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
-            )
+        for n in range(2, 9):
+            x = gen.standard_normal((n, 2))
+            for _ in range(50):
+                g = sample_permutation(n, gen)
+                h = sample_permutation(n, gen)
+                assert_array_equal(
+                    apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
+                )
 
     def test_identity_is_neutral(self):
         gen = RngStream(41018).generator()

@@ -331,6 +331,25 @@ class TestConsistencyMargin:
         with pytest.raises(ValueError, match="psi"):
             ConsistencyInputs("twosample", delta=1.0, t=1.0, psi=0.0)
 
+    @pytest.mark.parametrize("proposition, fields, named", [
+        ("sparse_signflip", dict(s_inf=1.0, t=math.nan), "t must be nonnegative"),
+        ("twosample", dict(delta=math.nan, t=1.0), "delta must be nonnegative"),
+        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=1), "p must be at least 2"),
+        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=0), "p must be at least 2"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=0, p=3), "n must be at least 1"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=-4, p=3), "n must be at least 1"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=3, p=0), "p must be at least 1"),
+    ])
+    def test_bad_value_named(self, proposition, fields, named):
+        with pytest.raises(ValueError, match=named):
+            ConsistencyInputs(proposition, **fields)
+
+    def test_smallest_dimensions_accepted(self):
+        consistency_margin(ConsistencyInputs("sparse_rotation", s_inf=1.0, s_2=1.0,
+                                             t2=1.0, p=2))
+        consistency_margin(ConsistencyInputs("lowrank", s_op=1.0, s_2inf=1.0,
+                                             t2=1.0, n=1, p=1))
+
     def test_propositions_catalog(self):
         assert set(PROPOSITIONS) == {
             "sparse_signflip",

@@ -9,6 +9,8 @@ check must also hold on a pairing where a third of the orbit ties with t0.
 
 import math
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -25,7 +27,7 @@ class TestRunValidation:
         start = time.monotonic()
         results = run_validation(level="quick")
         elapsed = time.monotonic() - start
-        assert len(results) == 25
+        assert len(results) == 17
         names = [r.name for r in results]
         assert len(names) == len(set(names))
         assert all(r.passed for r in results), format_ledger(results)
@@ -47,6 +49,14 @@ class TestRunValidation:
         assert run_validation(level="quick") == forward[::-1]
         monkeypatch.setattr(validation, "_REGISTRY", checks[1:])
         assert run_validation(level="quick") == forward[1:]
+
+    def test_does_not_import_cli(self):
+        # cli imports validation, so validation importing cli is a cycle
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, invartest.validation; print('invartest.cli' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
 
 class TestFormatLedger:
