@@ -36,8 +36,8 @@ from .theory import (
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    """Bad input or configuration; maps to exit code 2."""
+class UsageError(ValueError):
+    """Bad input or configuration; like any ValueError, maps to exit code 2."""
 
 
 _TEST_STATS = ("colmean_linf", "linf", "opnorm", "twosample_diff")
@@ -138,7 +138,7 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
     if name not in exp.SCENARIOS:
         raise UsageError(f"unknown scenario name {name!r}; "
                          f"choose from {', '.join(exp.SCENARIOS)}")
-    factory = exp._CONFIG_FACTORIES[name]
+    factory = exp._SCENARIO_ROWS[name].factory
     params = inspect.signature(factory, eval_str=True).parameters
     allowed = set(params) | {"name"}
     unknown = set(section) - allowed
@@ -251,10 +251,7 @@ def _build_action(group: str, shape: tuple[int, int]) -> GroupAction:
 
 def _cmd_test(args) -> int:
     data = _read_data_matrix(args.data)
-    try:
-        cfg = RandTestConfig(K=args.K, alpha=args.alpha)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    cfg = RandTestConfig(K=args.K, alpha=args.alpha)
     if args.stat == "linf" and data.shape[1] != 1:
         raise UsageError(
             f"statistic 'linf' expects a single data column, got {data.shape[1]}"
@@ -376,11 +373,12 @@ def _theory_varl_sparse(bare, kv) -> None:
             raise UsageError(f"unsupported family {family!r}; only 'gaussian' "
                              "has a closed-form shift divergence")
         chi2 = chi2_shift_gaussian(tau)
-        print(f"varL-sparse n={n} p={p} tau={tau:g} family={family} "
-              f"(chi2={chi2:.12g})")
+        echo = f"tau={tau:g} family={family} (chi2={chi2:.12g})"
     else:
-        print(f"varL-sparse n={n} p={p} chi2={chi2:g}")
-    print(f"value = {varL_sparse(n, p, chi2):.12g}")
+        echo = f"chi2={chi2:g}"
+    value = varL_sparse(n, p, chi2)
+    print(f"varL-sparse n={n} p={p} {echo}")
+    print(f"value = {value:.12g}")
 
 
 def _theory_varl_lowrank(bare, kv) -> None:
@@ -389,10 +387,7 @@ def _theory_varl_lowrank(bare, kv) -> None:
     n = _take(kv, "n", int)
     tau = _take(kv, "tau", float)
     _reject_leftover(kv)
-    try:
-        value = varL_lowrank_exact(n, tau)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    value = varL_lowrank_exact(n, tau)
     print(f"varL-lowrank n={n} tau={tau:g}")
     print(f"value = {value:.12g}")
 
@@ -415,10 +410,7 @@ def _theory_margin(bare, kv) -> None:
         if value is not None:
             fields[key] = value
     _reject_leftover(kv)
-    try:
-        report = consistency_margin(ConsistencyInputs(bare[0], **fields))
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    report = consistency_margin(ConsistencyInputs(bare[0], **fields))
     echo = " ".join(f"{k}={v:g}" for k, v in fields.items())
     print(f"margin {report.proposition} {echo}")
     print(f"margin = {report.margin:.12g} (above 1 means the condition holds)")
@@ -443,14 +435,10 @@ def _theory_bernoulli(bare, kv) -> None:
     x = _read_data_matrix(data)
     seed = _resolve_seed(seed, None)
     stream = RngStream(seed, 0)
-    try:
-        if kind == "design":
-            bound = bernoulli_bound_design(x, el, mc, stream)
-        else:
-            bound = bernoulli_bound_regression(
-                x, np.full(x.shape[0], eps), el, mc, stream)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
+    if kind == "design":
+        bound = bernoulli_bound_design(x, el, mc, stream)
+    else:
+        bound = bernoulli_bound_regression(x, np.full(x.shape[0], eps), el, mc, stream)
     print(f"bernoulli-bound kind={kind} data={data} l={el:g} mc={mc} seed={seed}")
     print(f"b_estimate = {bound.b_estimate:.12g} "
           f"(mc standard error {bound.mc_standard_error:.3g})")
@@ -496,10 +484,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # UsageError included
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

@@ -30,6 +30,7 @@ __all__ = [
     "RandTestConfig",
     "RandTestOutcome",
     "order_index",
+    "exact_level",
     "count_below",
     "decide",
     "decide_stopping",
@@ -53,12 +54,7 @@ class RandTestConfig:
     alpha: float
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(
-                f"alpha must lie in the open interval (0, 1), got {self.alpha}"
-            )
+        order_index(self.K, self.alpha)  # raises on K < 1 or alpha outside (0, 1)
 
 
 @dataclass(frozen=True)
@@ -86,6 +82,12 @@ def order_index(K: int, alpha: float) -> int:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     k = math.ceil((1.0 - alpha) * (K + 1) - 4.0 * sys.float_info.epsilon * (K + 1))
     return max(k, 1)
+
+
+def exact_level(K: int, alpha: float) -> float:
+    """(K + 1 - k) / (K + 1) with k = ``order_index(K, alpha)``: the share of
+    t0's K + 1 equally likely ranks at which the test rejects, its level."""
+    return (K + 1 - order_index(K, alpha)) / (K + 1)
 
 
 def count_below(t0: float, randomized: np.ndarray) -> int:
@@ -126,6 +128,12 @@ def decide_stopping(t0: float, orbit, K: int, k: int) -> bool:
 
 def p_value_from_counts(t0: float, randomized: np.ndarray) -> float:
     return (1.0 + int(np.count_nonzero(randomized >= t0))) / (randomized.size + 1.0)
+
+
+def _outcome(t0: float, randomized: np.ndarray, k: int) -> RandTestOutcome:
+    """The k-of-K+1 decision and p-value of t0 against its randomized values."""
+    return RandTestOutcome(t0, randomized, k, decide(t0, randomized, k),
+                           p_value_from_counts(t0, randomized))
 
 
 def all_sign_patterns(n: int) -> np.ndarray:
@@ -208,13 +216,7 @@ def run_randomization_test(
     if k > cfg.K:
         warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "
                       "so this test can never reject", RuntimeWarning)
-    return RandTestOutcome(
-        t0=t0,
-        randomized=randomized,
-        k=k,
-        reject=decide(t0, randomized, k),
-        p_value=p_value_from_counts(t0, randomized),
-    )
+    return _outcome(t0, randomized, k)
 
 
 def run_max_test(
@@ -268,16 +270,7 @@ def brute_force_full_group_test(
             f"brute force covers the discrete kinds signflip_rows/permute_rows, got {kind!r}"
         )
     values = np.asarray(values)
-    t0 = values[0]
-    randomized = values[1:]
-    k = order_index(randomized.size, alpha)
-    return RandTestOutcome(
-        t0=float(t0),
-        randomized=randomized,
-        k=k,
-        reject=decide(float(t0), randomized, k),
-        p_value=p_value_from_counts(float(t0), randomized),
-    )
+    return _outcome(float(values[0]), values[1:], order_index(values.size - 1, alpha))
 
 
 def project_out_nuisance(x, basis) -> np.ndarray:

@@ -30,6 +30,7 @@ import json
 import logging
 import math
 import re
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import repeat
@@ -69,8 +70,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-SCENARIOS = ("sparse_vector", "heavy_tail", "two_sample", "lowrank", "regression")
-
 CSV_HEADER = "scenario,method,signal,reps,rejections,power,se,seed"
 
 # units per work item; each unit owns its stream and the counts are integer
@@ -104,23 +103,14 @@ def _parse_method(label: str, alpha: float) -> _Method:
                    float(df) if df is not None else None)
 
 
-# method kinds each scenario accepts, and whether labels carry a df suffix
-_SCENARIO_METHODS = {
-    "sparse_vector": (("deterministic", "signflip", "rotation"), False),
-    "heavy_tail": (("signflip",), True),
-    "two_sample": (("permutation", "t_test"), False),
-    "lowrank": (("rotation",), False),
-    "regression": (("signflip",), False),
-}
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a power experiment needs, minus the worker count.
 
     The master seed lives here so that (config, seed) fully determines the
     output; design_seed fixes the regression design matrix independently of
-    the replicate streams.
+    the replicate streams. ``parsed`` holds the methods' parses, in method
+    order; it is derived from methods and alpha, so ``replace`` parses again.
     """
 
     scenario: str
@@ -134,6 +124,7 @@ class ScenarioConfig:
     replicates: int
     seed: int
     design_seed: int = 12345
+    parsed: tuple[_Method, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -156,16 +147,17 @@ class ScenarioConfig:
             raise ValueError("methods must be nonempty")
         if len(set(self.grid)) != len(self.grid):
             raise ValueError("grid values must be distinct")
-        allowed, need_df = _SCENARIO_METHODS[self.scenario]
-        parsed = [_parse_method(label, self.alpha) for label in self.methods]
+        row = _SCENARIO_ROWS[self.scenario]
+        parsed = tuple(_parse_method(label, self.alpha) for label in self.methods)
+        object.__setattr__(self, "parsed", parsed)
         for meth in parsed:
-            if meth.kind not in allowed:
+            if meth.kind not in row.kinds:
                 raise ValueError(
                     f"method {meth.label!r} not valid for scenario {self.scenario!r}"
                 )
-            if need_df and meth.kind != "deterministic" and meth.df is None:
+            if row.needs_df and meth.kind != "deterministic" and meth.df is None:
                 raise ValueError(f"method {meth.label!r} needs a _t<df> suffix here")
-            if not need_df and meth.df is not None:
+            if not row.needs_df and meth.df is not None:
                 raise ValueError(f"method {meth.label!r}: df suffix not valid here")
         if self.scenario == "two_sample" and self.n2 is None:
             raise ValueError("two_sample scenario needs n2")
@@ -454,29 +446,20 @@ def regression_config(
     )
 
 
-_CONFIG_FACTORIES = {
-    "sparse_vector": sparse_vector_config,
-    "heavy_tail": heavy_tail_config,
-    "two_sample": two_sample_config,
-    "lowrank": lowrank_config,
-    "regression": regression_config,
-}
-
-
 # ---------------------------------------------------------------------------
-# scenarios under one unit loop: setup(cfg, methods) computes per-chunk
+# scenarios under one unit loop: setup(cfg) computes per-chunk
 # constants; unit(cfg, constants, signal, noise generator, (method, generator)
 # pairs) draws one unit and yields one rejection per method, in method order.
 # Every group draw goes through the helpers in groups.py; each unit keeps
 # only its statistic's arithmetic on the draw.
 
 
-def _sparse_setup(cfg: ScenarioConfig, parsed) -> tuple[float, dict]:
+def _sparse_setup(cfg: ScenarioConfig) -> tuple[float, dict]:
     """The deterministic threshold, and the noise spec of each df in sorted
     order: one Student t spec per df for heavy_tail, cfg.noise otherwise."""
     t_det = normal_quantile(((1.0 - cfg.alpha) ** (1.0 / cfg.p) + 1.0) / 2.0)
     t_det /= math.sqrt(cfg.n)
-    dfs = sorted({meth.df for meth in parsed})
+    dfs = sorted({meth.df for meth in cfg.parsed})
     return t_det, {df: cfg.noise if df is None else replace(cfg.noise, df=df)
                    for df in dfs}
 
@@ -504,10 +487,10 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
             yield decide(t0, vals, meth.k)
 
 
-def _two_sample_setup(cfg: ScenarioConfig, parsed) -> float | None:
+def _two_sample_setup(cfg: ScenarioConfig) -> float | None:
     """The t-test's two-sided critical value, or None when no t_test is
     listed (a permutation-only config may have a sample of size 1)."""
-    if not any(meth.kind == "t_test" for meth in parsed):
+    if not any(meth.kind == "t_test" for meth in cfg.parsed):
         return None
     return student_t_quantile(1.0 - cfg.alpha / 2.0, cfg.n + cfg.n2 - 2)
 
@@ -531,7 +514,7 @@ def _two_sample_unit(cfg: ScenarioConfig, t_crit, mu: float, noise, methods):
             yield decide(t0, vals, meth.k)
 
 
-def _lowrank_setup(cfg: ScenarioConfig, parsed) -> np.ndarray:
+def _lowrank_setup(cfg: ScenarioConfig) -> np.ndarray:
     u = np.full(cfg.n, 1.0 / math.sqrt(cfg.n))
     v = np.full(cfg.p, 1.0 / math.sqrt(cfg.p))
     return math.sqrt(cfg.n / 2.0) * np.outer(u, v)
@@ -555,7 +538,7 @@ def regression_design(cfg: ScenarioConfig) -> np.ndarray:
     return gen.standard_normal((cfg.n, cfg.p))
 
 
-def _regression_setup(cfg: ScenarioConfig, parsed) -> tuple[np.ndarray, np.ndarray]:
+def _regression_setup(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     design = regression_design(cfg)
     return design[:, 0], pseudo_inverse(design)
 
@@ -572,34 +555,40 @@ def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
         yield decide(t0, vals, meth.k)
 
 
-# (setup, unit) per scenario; heavy_tail is the sparse scenario under
-# Student t noise
-_SCENARIO_UNITS = {
-    "sparse_vector": (_sparse_setup, _sparse_unit),
-    "heavy_tail": (_sparse_setup, _sparse_unit),
-    "two_sample": (_two_sample_setup, _two_sample_unit),
-    "lowrank": (_lowrank_setup, _lowrank_unit),
-    "regression": (_regression_setup, _regression_unit),
+# one row per scenario: its config factory, the method kinds it accepts,
+# whether their labels carry a _t<df> suffix, and its setup and unit;
+# heavy_tail is the sparse scenario under Student t noise
+_Scenario = namedtuple("_Scenario", "factory kinds needs_df setup unit")
+_SCENARIO_ROWS = {
+    "sparse_vector": _Scenario(sparse_vector_config, ("deterministic", "signflip", "rotation"),
+                               False, _sparse_setup, _sparse_unit),
+    "heavy_tail": _Scenario(heavy_tail_config, ("signflip",), True,
+                            _sparse_setup, _sparse_unit),
+    "two_sample": _Scenario(two_sample_config, ("permutation", "t_test"), False,
+                            _two_sample_setup, _two_sample_unit),
+    "lowrank": _Scenario(lowrank_config, ("rotation",), False, _lowrank_setup, _lowrank_unit),
+    "regression": _Scenario(regression_config, ("signflip",), False,
+                            _regression_setup, _regression_unit),
 }
+SCENARIOS = tuple(_SCENARIO_ROWS)
 
 
 def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     """Rejection counts of units [lo, hi); top level so that worker
     processes can unpickle it."""
-    parsed = [_parse_method(lbl, cfg.alpha) for lbl in cfg.methods]
-    setup, unit = _SCENARIO_UNITS[cfg.scenario]
-    const = setup(cfg, parsed)
-    counts = np.zeros((len(cfg.grid), len(parsed)), dtype=np.int64)
+    row = _SCENARIO_ROWS[cfg.scenario]
+    const = row.setup(cfg)
+    counts = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
     # the noise stream is child 0 and method m's is child 1 + m; deterministic
     # and t_test (K = 0) draw nothing, so get no generator
-    children = [0] + [1 + m for m, meth in enumerate(parsed) if meth.K]
+    children = [0] + [1 + m for m, meth in enumerate(cfg.parsed) if meth.K]
     gens = stream_generators(cfg.seed, [(u, c) for u in range(lo, hi)
                                         for c in children])
     for u in range(lo, hi):
         g = u // cfg.replicates
         noise = next(gens)
-        methods = [(meth, next(gens) if meth.K else None) for meth in parsed]
-        counts[g] += list(unit(cfg, const, cfg.grid[g], noise, methods))
+        methods = [(meth, next(gens) if meth.K else None) for meth in cfg.parsed]
+        counts[g] += list(row.unit(cfg, const, cfg.grid[g], noise, methods))
     return counts
 
 

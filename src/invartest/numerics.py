@@ -71,12 +71,6 @@ def _hash_consts(start: int, mult: int, count: int) -> list[int]:
     return out
 
 
-def _hashmix(value: int, const: int) -> int:
-    """One hashmix step on a Python int; const is the step's constant."""
-    value = (value ^ const) * (const * _MULT_A & _MASK32) & _MASK32
-    return value ^ value >> 16
-
-
 def _mix(x, y):
     """mix on Python ints or on uint32 arrays, which wrap mod 2**32."""
     r = (_MIX_L * x - _MIX_R * y) & _MASK32
@@ -106,7 +100,8 @@ def stream_generators(seed: int, keys) -> Iterator[np.random.Generator]:
     that each entry is one 32-bit word; row (u, *path) gives the stream of
     ``RngStream(seed, u, tuple(path)).generator()``.  The seed fills the
     pool on its own (SeedSequence pads it to the pool size before a spawn
-    key), so only the key words are mixed as arrays.
+    key), so NumPy's ``SeedSequence(seed).pool`` mixes it; only the key
+    words are mixed here, as array arithmetic.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -118,26 +113,14 @@ def stream_generators(seed: int, keys) -> Iterator[np.random.Generator]:
         raise ValueError("spawn-key entries must lie in [0, 2**32)")
     if keys.size and keys.dtype.kind not in "iu":
         raise ValueError(f"spawn-key entries must be integers, got {keys.dtype}")
-    words = [seed & _MASK32]  # little-endian 32-bit words, as SeedSequence splits it
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    words += [0] * (_POOL - len(words))
-    # one hashmix constant per step: _POOL ** 2 steps fill and mix the pool,
-    # then each word beyond it (seed words, then key words) takes _POOL
-    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (len(words) + keys.shape[1]))
-    steps = iter(consts)
-    pool = [_hashmix(w, next(steps)) for w in words[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
-    for w in words[_POOL:]:
-        pool = [_mix(p, _hashmix(w, next(steps))) for p in pool]
-    # the seed alone fixes the pool so far; each key word now mixes into
-    # every pool word, for all rows at once
-    mixer = np.array(pool, dtype=np.uint32)[:, None]
+    # NumPy mixes the seed into the pool: its 32-bit words, padded to the
+    # pool size, take _POOL hashmix constants each; each key word then takes
+    # _POOL more and mixes into every pool word, for all rows at once
+    seed_words = max(_POOL, -(-seed.bit_length() // 32))
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * (seed_words + keys.shape[1]))
+    mixer = np.random.SeedSequence(seed).pool[:, None]
     for j, col in enumerate(keys.T.astype(np.uint32)):
-        at = _POOL * (len(words) + j)
+        at = _POOL * (seed_words + j)
         c = np.array(consts[at:at + _POOL + 1], dtype=np.uint32)[:, None]
         h = (col ^ c[:-1]) * c[1:]
         mixer = _mix(mixer, h ^ h >> 16)

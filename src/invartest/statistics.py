@@ -14,6 +14,7 @@ the sums without forming its image, which is how the engine evaluates them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -118,15 +119,16 @@ def _stack(images, check, name: str) -> np.ndarray:
     return a.reshape(a.shape[0], *check(a[0], name).shape)
 
 
+def _summary_values(summary: Callable[[int], Summary], images) -> np.ndarray:
+    """``summary(n).values`` on a stack of n-row slices: the stacked
+    evaluator of a statistic declared by its summary."""
+    a = _stack(images, as_matrix, "X")
+    return summary(a.shape[1]).values(a)
+
+
 def colmean_summary(n: int) -> Summary:
     """W = 1^T, the column sums s, and g(s) = max_j |s_j| / n."""
     return Summary(np.ones((1, n)), lambda s: np.max(np.abs(s[:, 0]), axis=1) / n)
-
-
-def batch_colmean_linf(images) -> np.ndarray:
-    """Largest absolute column mean, n^{-1} ||1^T X||_inf, of each slice."""
-    a = _stack(images, as_matrix, "X")
-    return colmean_summary(a.shape[1]).values(a)
 
 
 def batch_linf(images) -> np.ndarray:
@@ -282,13 +284,6 @@ def twosample_summary(rows: int, n: int, n_prime: int, norm: str = "linf") -> Su
     return Summary(w, g)
 
 
-def batch_twosample_diff(images, n: int, n_prime: int, norm: str = "linf") -> np.ndarray:
-    """Norm of the difference of block means of each stacked (n+n') x p
-    slice."""
-    a = _stack(images, as_matrix, "X")
-    return twosample_summary(a.shape[1], n, n_prime, norm).values(a)
-
-
 def check_psi_subadditive(
     f: TestStatistic,
     trials: int,
@@ -339,8 +334,8 @@ def make_statistic(name: str, **params) -> TestStatistic:
         return value
 
     if name == "colmean_linf":
-        stat = TestStatistic("colmean_linf", 1.0, batch_colmean_linf, shape or (8, 5),
-                             colmean_summary)
+        stat = TestStatistic("colmean_linf", 1.0, partial(_summary_values, colmean_summary),
+                             shape or (8, 5), colmean_summary)
     elif name == "linf":
         stat = TestStatistic("linf", 1.0, batch_linf, shape or (12,))
     elif name == "opnorm":
@@ -359,10 +354,9 @@ def make_statistic(name: str, **params) -> TestStatistic:
         n = required("n")
         n_prime = required("n_prime")
         norm = params.pop("norm", "linf")
-        stat = TestStatistic(f"twosample_diff_{norm}", 1.0,
-                             lambda xs: batch_twosample_diff(xs, n, n_prime, norm),
-                             shape or (n + n_prime, 1),
-                             lambda rows: twosample_summary(rows, n, n_prime, norm))
+        summary = partial(twosample_summary, n=n, n_prime=n_prime, norm=norm)
+        stat = TestStatistic(f"twosample_diff_{norm}", 1.0, partial(_summary_values, summary),
+                             shape or (n + n_prime, 1), summary)
     else:
         raise ValueError(f"unknown statistic {name!r}")
     if params:

@@ -42,6 +42,8 @@ _EXP_LIMIT = 700.0
 
 def chi2_shift_gaussian(tau: float) -> float:
     """Chi-squared divergence between N(tau, 1) and N(0, 1): exp(tau^2) - 1."""
+    if math.isnan(tau):
+        raise ValueError(f"tau must be a number, got {tau}")
     t2 = float(tau) * float(tau)
     if t2 > _EXP_LIMIT:
         return math.inf
@@ -56,7 +58,7 @@ def varL_sparse(n: int, p: int, chi2: float) -> float:
     """
     if n < 1 or p < 1:
         raise ValueError("n and p must be >= 1")
-    if chi2 < 0:
+    if not chi2 >= 0:  # NaN fails too
         raise ValueError(f"chi2 must be >= 0, got {chi2}")
     exponent = n * math.log1p(chi2)
     if exponent > _EXP_LIMIT:
@@ -73,6 +75,8 @@ def varL_lowrank_exact(n: int, tau: float) -> float:
     """
     if not 1 <= n <= 30:
         raise ValueError(f"exact enumeration limited to 1 <= n <= 30, got {n}")
+    if math.isnan(tau):
+        raise ValueError(f"tau must be a number, got {tau}")
     t2 = float(tau) * float(tau)
     if t2 * n / 2.0 > _EXP_LIMIT:
         return math.inf

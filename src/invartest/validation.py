@@ -30,6 +30,7 @@ from .engine import (
     RandTestConfig,
     all_sign_patterns,
     count_below,
+    exact_level,
     run_randomization_test,
 )
 from .groups import GroupAction, apply_action, sample_haar_orthogonal, \
@@ -289,19 +290,20 @@ def _check_catalog_rank_and_level(stream: RngStream, budget: dict) -> CheckResul
     """Under the null t0 is exchangeable with its K randomized values, so its
     rank among them, ties broken at random, is uniform on 0..K, and the
     k-of-K+1 rejection with ties broken the same way has level
-    floor(alpha (K+1))/(K+1). A replicate with c = ``count_below`` and e ties
-    adds its expectation over the tie-break: 1/(e+1) to each rank c..c+e, and
-    to the level ``reject`` (c >= k) or else the share of those ranks >= k.
-    Within-half permutations tie with t0 at rate 1/126, which would lower the
-    level of ``reject`` alone to 0.0461 at K = 19."""
+    ``exact_level(K, alpha)``, which must lie in (alpha - 1/(K+1), alpha]: a
+    k off by one either way moves it out. A replicate with c = ``count_below``
+    and e ties adds its expectation over the tie-break: 1/(e+1) to each rank
+    c..c+e, and to the level ``reject`` (c >= k) or else the share of those
+    ranks >= k. Within-half permutations tie with t0 at rate 1/126, which
+    would lower the level of ``reject`` alone to 0.0461 at K = 19."""
     K, alpha = 19, 0.05
     reps = budget["level_reps"]
     crit = _spstats.chi2.ppf(1.0 - CHI2_ALPHA, df=K)
     expected = reps / (K + 1)
-    target = math.floor(alpha * (K + 1)) / (K + 1)
+    target = exact_level(K, alpha)
     band = 3.0 * math.sqrt(target * (1.0 - target) / reps)
     cfg = RandTestConfig(K=K, alpha=alpha)
-    fails = []
+    fails = [] if alpha - 1.0 / (K + 1) < target <= alpha else ["level target"]
     details = []
     for idx, entry in enumerate(scenario_catalog()):
         gen = stream.child(idx).generator()
@@ -426,21 +428,19 @@ def null_levels(labeled: list[tuple[str, _exp.ScenarioConfig]],
                 workers: int = 1) -> CheckResult:
     """Run each (label, config) at signal 0 on ``workers`` processes and
     check every method's level within 3 binomial SE of its target: alpha
-    for the deterministic and t tests, floor(alpha (K+1))/(K+1) for a test
+    for the deterministic and t tests, ``exact_level(K, alpha)`` for a test
     with K randomized values."""
     fails = []
     details = []
     for label, cfg in labeled:
         curve = _exp.run_experiment(cfg, workers=workers)
-        for method in curve.methods:
-            parsed = _exp._parse_method(method, cfg.alpha)
-            target = cfg.alpha if parsed.kind in ("deterministic", "t_test") else \
-                math.floor(cfg.alpha * (parsed.K + 1)) / (parsed.K + 1)
-            freq = float(curve.series(method)[0])
+        for meth in cfg.parsed:
+            target = exact_level(meth.K, cfg.alpha) if meth.K else cfg.alpha
+            freq = float(curve.series(meth.label)[0])
             band = 3.0 * math.sqrt(target * (1.0 - target) / cfg.replicates)
-            details.append(f"{label}/{method}: {freq:.4f}")
+            details.append(f"{label}/{meth.label}: {freq:.4f}")
             if abs(freq - target) > band:
-                fails.append(f"{label}/{method}")
+                fails.append(f"{label}/{meth.label}")
     return _result("experiment_null_levels", not fails,
                    ("off: " + "; ".join(fails) + " | " if fails else "") + "; ".join(details))
 
@@ -449,7 +449,7 @@ def _check_null_levels(stream: RngStream, budget: dict) -> CheckResult:
     gen = stream.generator()
     reps = budget["null_reps"]
     return null_levels([
-        (scenario, _exp._CONFIG_FACTORIES[scenario](
+        (scenario, _exp._SCENARIO_ROWS[scenario].factory(
             int(gen.integers(2 ** 31)), grid_points=1, replicates=reps[scenario]))
         for scenario in _exp.SCENARIOS])
 

@@ -115,6 +115,26 @@ class TestTheorySubcommand:
         assert captured.err.startswith("error:") and named in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args, named", [
+        (["varL-sparse", "n=0", "p=5", "chi2=1"], "n and p must be >= 1"),
+        (["varL-sparse", "n=3", "p=5", "chi2=-1"], "chi2 must be >= 0"),
+        (["varL-sparse", "n=3", "p=5", "chi2=nan"], "chi2 must be >= 0"),
+        (["varL-sparse", "n=3", "p=5", "tau=nan"], "tau"),
+        (["varL-lowrank", "n=0", "tau=1"], "1 <= n <= 30"),
+        (["varL-lowrank", "n=3", "tau=nan"], "tau"),
+    ])
+    def test_varl_bad_value_named(self, capsys, args, named):
+        rc = cli.main(["theory", *args])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("error:") and named in captured.err
+        assert captured.out == ""
+
+    def test_varl_infinite_tau_is_infinite(self, capsys):
+        for args in (["varL-sparse", "n=3", "p=5", "tau=inf"], ["varL-lowrank", "n=3", "tau=inf"]):
+            assert cli.main(["theory", *args]) == 0
+            assert "value = inf" in capsys.readouterr().out
+
     def test_duplicate_parameter(self, capsys):
         rc = cli.main(["theory", "varL-lowrank", "n=2", "n=3", "tau=1"])
         assert rc == 2

@@ -1,6 +1,7 @@
 """Unit tests for the power-experiment configs, runners, CSV format, and
 the t-test comparator."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from numpy.testing import assert_array_equal
 from scipy import stats
 
 from invartest import experiments
-from invartest.engine import RandTestConfig, run_randomization_test
+from invartest.engine import RandTestConfig, exact_level, run_randomization_test
 from invartest.experiments import (
     CSV_HEADER,
     SCENARIOS,
@@ -92,6 +93,23 @@ class TestConfigFactories:
             "lowrank",
             "regression",
         )
+
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_methods_parsed_once_on_the_config(self, scenario):
+        cfg = experiments._SCENARIO_ROWS[scenario].factory(1)
+        assert [m.label for m in cfg.parsed] == list(cfg.methods)
+        randomized = [m for m in cfg.parsed if m.K]
+        assert {m.K for m in randomized} <= {19, 99}
+        for m in randomized:
+            assert (m.K + 1 - m.k) / (m.K + 1) == exact_level(m.K, cfg.alpha) == 0.05
+        # replace runs __post_init__ again, so the parse follows the new alpha
+        looser = dataclasses.replace(cfg, alpha=0.1)
+        assert [m.label for m in looser.parsed] == list(cfg.methods)
+        for old, new in zip(cfg.parsed, looser.parsed):
+            assert new.K == old.K
+            if new.K:
+                assert new.k < old.k
+                assert (new.K + 1 - new.k) / (new.K + 1) == 0.1
 
 
 class TestScenarioConfigValidation:
@@ -366,7 +384,7 @@ class TestRunners:
             "lowrank": dict(replicates=100, n=8, p=8, K=19),
             "regression": dict(replicates=100, n=40, p=5, K=19),
         }[scenario]
-        cfg = experiments._CONFIG_FACTORIES[scenario](90007, grid_points=3, **kwargs)
+        cfg = experiments._SCENARIO_ROWS[scenario].factory(90007, grid_points=3, **kwargs)
         serial = run_experiment(cfg, workers=1)
         parallel = run_experiment(cfg, workers=2)
         assert serial == parallel
@@ -401,7 +419,7 @@ class TestRunners:
         monkeypatch.setattr(experiments, "decide_stopping", spy)
         counts = experiments._chunk(cfg, 0, 150)
         assert len(seen) == 150 and 0 < counts.sum() < 150
-        base = experiments._lowrank_setup(cfg, None)
+        base = experiments._lowrank_setup(cfg)
         opnorm = make_statistic("opnorm")
         action = GroupAction("rotate_per_column", n=cfg.n, p=cfg.p)
         for u, (t0, reject) in enumerate(seen):

@@ -52,6 +52,11 @@ class TestChi2ShiftGaussian:
 
     def test_overflow_flag(self):
         assert chi2_shift_gaussian(30.0) == math.inf
+        assert chi2_shift_gaussian(math.inf) == math.inf
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            chi2_shift_gaussian(math.nan)
 
 
 class TestVarLSparse:
@@ -92,6 +97,8 @@ class TestVarLSparse:
             varL_sparse(0, 5, 0.1)
         with pytest.raises(ValueError):
             varL_sparse(5, 5, -0.1)
+        with pytest.raises(ValueError, match="chi2"):
+            varL_sparse(5, 5, math.nan)
 
 
 # the 4^n sign-pair enumeration oracle is the `varl_lowrank_enumeration`
@@ -124,6 +131,11 @@ class TestVarLLowrankExact:
 
     def test_overflow_flag(self):
         assert varL_lowrank_exact(30, 10.0) == math.inf
+        assert varL_lowrank_exact(3, math.inf) == math.inf
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="tau"):
+            varL_lowrank_exact(3, math.nan)
 
 
 # the sqrt(log p / n) rate of tau* is the `rate_calibration` check of
