@@ -26,16 +26,7 @@ from .experiments import (
     two_sample_config,
     two_sample_t_test,
 )
-from .groups import (
-    GroupAction,
-    GroupElement,
-    apply_action,
-    compose,
-    sample_haar_orthogonal,
-    sample_permutation,
-    sample_signflips,
-    sample_sphere_image,
-)
+from .groups import GroupAction
 from .noise import NoiseSpec, sample_noise
 from .numerics import (
     RngStream,
@@ -71,7 +62,6 @@ __all__ = [
     "BernoulliBound",
     "ConsistencyInputs",
     "GroupAction",
-    "GroupElement",
     "MarginReport",
     "NoiseSpec",
     "PowerCurve",
@@ -80,13 +70,11 @@ __all__ = [
     "RngStream",
     "ScenarioConfig",
     "TestStatistic",
-    "apply_action",
     "bernoulli_bound_design",
     "bernoulli_bound_regression",
     "brute_force_full_group_test",
     "check_psi_subadditive",
     "chi2_shift_gaussian",
-    "compose",
     "consistency_margin",
     "heavy_tail_config",
     "lowrank_config",
@@ -102,11 +90,7 @@ __all__ = [
     "run_experiment",
     "run_max_test",
     "run_randomization_test",
-    "sample_haar_orthogonal",
     "sample_noise",
-    "sample_permutation",
-    "sample_signflips",
-    "sample_sphere_image",
     "shipped_statistics",
     "sparse_vector_config",
     "student_t_quantile",

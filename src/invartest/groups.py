@@ -1,4 +1,4 @@
-"""Invariance groups: random element samplers and their actions on data.
+"""Invariance groups: iid Haar draws and their actions on data.
 
 Four kinds are supported, matching the scenarios in scope:
 
@@ -8,61 +8,40 @@ Four kinds are supported, matching the scenarios in scope:
                        p-vector or to each row of an n x p matrix
 * ``rotate_per_column`` an independent rotation of R^n for every column
 
-Continuous elements are sampled eagerly only when a statistic needs the
-actual matrix; wherever the data is a single vector (or an independent
-column), the distributional identity O x =_d Z/||Z|| * ||x|| replaces the
-O(p^3) sample with an O(p) one, and a rotate_full on an n x p matrix with
-1 < n < p draws an n-frame of R^p instead of a p x p rotation.
+``GroupAction.randomize_batch`` draws K iid elements and returns their
+images of the data. A rotation is never built as a matrix where the image
+alone has the right law: wherever the data is a single vector (or an
+independent column), the distributional identity O x =_d Z/||Z|| * ||x||
+replaces the O(p^3) draw with an O(p) one, and a rotate_full on an n x p
+matrix with 1 < n < p draws an n-frame of R^p instead of a p x p rotation.
 
 A statistic of the row sums W X needs no images under the discrete kinds:
 ``GroupAction.randomize_weights`` returns the acted weights W G, whose sums
 against X are those of the images G X.
 
 This module is the only place that reads a random stream for a group
-element. The helpers ``_signs``, ``_permutations``, ``_gaussian_rows`` and
-``_column_sphere_images`` each fix one way of reading it: K sign vectors
-from one ``integers`` block, K permutations as the argsort of one ``random``
-block, and K images from one standard normal block. The samplers, the
-batched action on data and on weights, the power-study scenarios and the
-Monte Carlo bounds all call them, so a K-row draw is the same values
-wherever it is made, and a draw of a rows followed by b rows equals one
-draw of a + b.
+element. The helpers ``_signs``, ``_permutations``, ``_gaussian_rows``,
+``_sphere_images``, ``_column_sphere_images`` and ``_orthonormal_frames``
+each fix one way of reading it: K sign vectors from one ``integers`` block,
+K permutations as the argsort of one ``random`` block, and K images or K
+Haar frames (the sign-fixed QR of a Gaussian stack; Mezzadri, Notices AMS,
+2007) from one standard normal block. The batched action on data and on
+weights, the power-study scenarios, the Monte Carlo bounds and ``validate``
+all call them, so a K-row draw is the same values wherever it is made, and
+a draw of a rows followed by b rows equals one draw of a + b.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .numerics import RngStream, as_generator, qr_orthonormalize
 
-__all__ = [
-    "GroupAction",
-    "GroupElement",
-    "KINDS",
-    "sample_signflips",
-    "sample_permutation",
-    "sample_haar_orthogonal",
-    "sample_sphere_image",
-    "apply_action",
-    "compose",
-]
+__all__ = ["GroupAction", "KINDS"]
 
 KINDS = ("signflip_rows", "permute_rows", "rotate_full", "rotate_per_column")
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A sampled group element: kind plus its kind-specific payload."""
-
-    kind: str
-    payload: Any
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -86,26 +65,6 @@ class GroupAction:
                 raise ValueError(f"{self.kind} needs n >= 1")
         if self.kind == "rotate_full" and (self.p is None or self.p < 1):
             raise ValueError("rotate_full needs p >= 1")
-
-    def sample(self, rng: RngStream | np.random.Generator) -> GroupElement:
-        """Draw one element from the group's Haar (uniform) law.
-
-        rotate_per_column materializes its p rotation matrices eagerly here,
-        which is only sensible for validation at small sizes; the fast path
-        is :meth:`randomize_batch`.
-        """
-        gen = as_generator(rng)
-        if self.kind == "signflip_rows":
-            return sample_signflips(self.n, gen)
-        if self.kind == "permute_rows":
-            return sample_permutation(self.n, gen)
-        if self.kind == "rotate_full":
-            return sample_haar_orthogonal(self.p, gen)
-        mats = tuple(
-            sample_haar_orthogonal(self.n, gen).payload
-            for _ in range(self.p if self.p else 1)
-        )
-        return GroupElement("rotate_per_column", mats)
 
     def randomize(
         self, x: np.ndarray, rng: RngStream | np.random.Generator
@@ -145,9 +104,11 @@ class GroupAction:
         """Draw K iid elements and return their images of ``x``, stacked
         along a new leading axis: shape (K, *x.shape).
 
-        Equal in distribution to K calls of ``apply_action(self.sample(rng),
-        x)``. The stream is read image by image, so drawing a images and
-        then b gives the images of one draw of a + b. Shortcuts are used
+        The k-th image is G_k x for a Haar (uniform) G_k: x with its rows
+        flipped or permuted, each row (or a vector) rotated by one p x p
+        rotation, or each column rotated by its own rotation of R^n. The
+        stream is read image by image, so drawing a images and then b gives
+        the images of one draw of a + b. Shortcuts are used
         where they are exact in law: a rotate_full on a single vector (or a
         one-row matrix) and every column of a rotate_per_column map to
         uniform points on spheres, a Gaussian z scaled to the length of
@@ -198,7 +159,8 @@ def _check_acts_on(kind: str, size: int, arr: np.ndarray, columns: int = 1) -> N
         if have != columns:
             raise ValueError(f"{columns} column rotations cannot act on {have} columns")
         if arr.shape[0] != size:
-            raise ValueError("column rotation size does not match row count")
+            raise ValueError(f"column rotations of size {size} cannot act on "
+                             f"{arr.shape[0]} rows")
 
 
 def _signs(K: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -256,84 +218,3 @@ def _orthonormal_frames(shape: tuple[int, int, int], gen: np.random.Generator) -
             return qr_orthonormalize(gen.standard_normal(shape))[0]
         except ValueError:
             continue
-
-
-def sample_signflips(n: int, rng: RngStream | np.random.Generator) -> GroupElement:
-    """n independent uniform +-1 signs (one per row)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return GroupElement("signflip_rows", _signs(1, n, as_generator(rng))[0])
-
-
-def sample_permutation(n: int, rng: RngStream | np.random.Generator) -> GroupElement:
-    """Uniform random permutation of the n rows."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return GroupElement("permute_rows", _permutations(1, n, as_generator(rng))[0])
-
-
-def sample_haar_orthogonal(p: int, rng: RngStream | np.random.Generator) -> GroupElement:
-    """Haar-distributed p x p orthogonal matrix.
-
-    Gaussian matrix followed by QR with the R diagonal forced positive; the
-    sign correction is what makes the law exactly Haar rather than merely
-    orthogonal.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return GroupElement("rotate_full", _orthonormal_frames((1, p, p), as_generator(rng))[0])
-
-
-def sample_sphere_image(x, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Uniform point on the sphere of radius ||x||_2; zero maps to zero.
-
-    Identical in law to applying a Haar rotation to x, at O(p) cost.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("sample_sphere_image expects a vector")
-    return _sphere_images(x, 1, as_generator(rng))[0]
-
-
-def apply_action(g: GroupElement, x) -> np.ndarray:
-    """Apply a group element to a data matrix or vector.
-
-    Vectors keep their 1d shape. The discrete kinds and rotate_per_column
-    act on rows/columns of length n (a vector is one column); rotate_full
-    acts on a p-vector or on each row of an n x p matrix.
-    """
-    arr = np.asarray(x, dtype=float)
-    if g.kind == "signflip_rows":
-        signs = g.payload
-        _check_acts_on(g.kind, signs.shape[0], arr)
-        return signs * arr if arr.ndim == 1 else signs[:, None] * arr
-    if g.kind == "permute_rows":
-        perm = g.payload
-        _check_acts_on(g.kind, perm.shape[0], arr)
-        return arr[perm]
-    if g.kind == "rotate_full":
-        o = g.payload
-        _check_acts_on(g.kind, o.shape[0], arr)
-        return o @ arr if arr.ndim == 1 else arr @ o.T
-    mats = g.payload
-    _check_acts_on(g.kind, arr.shape[0], arr, len(mats))
-    if any(m.shape[0] != arr.shape[0] for m in mats):
-        raise ValueError("column rotation size does not match row count")
-    cols = arr[:, None] if arr.ndim == 1 else arr
-    out = np.empty_like(cols)
-    for j, m in enumerate(mats):
-        out[:, j] = m @ cols[:, j]
-    return out.reshape(arr.shape)
-
-
-def compose(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Element of the discrete groups acting as 'h first, then g'."""
-    if g.kind != h.kind:
-        raise ValueError(f"cannot compose {g.kind} with {h.kind}")
-    if g.kind == "signflip_rows":
-        return GroupElement("signflip_rows", g.payload * h.payload)
-    if g.kind == "permute_rows":
-        # apply_action(compose(g,h), X) == apply_action(g, apply_action(h, X))
-        return GroupElement("permute_rows", h.payload[g.payload])
-    raise ValueError("composition is implemented for the discrete kinds only")
-

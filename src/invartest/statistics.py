@@ -173,37 +173,38 @@ def opnorm_against(images, t0: float) -> np.ndarray:
     itself in a near-tie. So ``values < t0`` is ``batch_opnorm(images) <
     t0``, image by image.
 
-    For an n x p image A, with G = fl(A^T A): if a Cholesky factorisation
-    (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
-    else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
-    left between the two take ``batch_opnorm``, on their own stack, which
-    gives each the bits it has in any stack.
+    For an n x p image A, let G be the rounded Gram of its smaller side,
+    m x m with m = min(n, p): fl(A^T A) when n >= p, else fl(A A^T). If a
+    Cholesky factorisation (``dpotrf``) of t0^2 (1 - delta) I - G succeeds,
+    the value is below t0; else if one of t0^2 (1 + delta) I - G fails, it
+    is not. Only the images left between the two take ``batch_opnorm``, on
+    their own stack, which gives each the bits it has in any stack.
 
     Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
-    exact largest singular value of A and s the value of ``batch_opnorm``.
-    Every rounding:
+    exact largest singular value of A (and of A^T) and s the value of
+    ``batch_opnorm``. Every rounding:
 
-    - Gram: |fl(A^T A) - A^T A| <= gamma_n |A|^T |A| entrywise, in any
-      summation order, so the 2-norm error is at most n gamma_n sigma^2
-      (||A||_F^2 <= min(n, p) sigma^2).
+    - Gram: each entry sums max(n, p) products, so G is off by at most
+      gamma_max(n, p) |A|^T |A| (or |A| |A|^T) entrywise, in any summation
+      order, and its 2-norm error is at most gamma_max(n, p) ||A||_F^2 <=
+      n p u sigma^2 to first order (||A||_F^2 <= m sigma^2).
     - Shift: t0^2 (1 -+ delta) takes three roundings (gamma_3 relative) and
       the diagonal subtraction one more, at most u (t0^2 + ||G||_2).
-    - Cholesky of the p x p M: success certifies that M + dM is positive
-      definite with ||dM||_2 <= p gamma_{p+1} ||M||_2 / (1 - p gamma_{p+1})
+    - Cholesky of the m x m M: success certifies that M + dM is positive
+      definite with ||dM||_2 <= m gamma_{m+1} ||M||_2 / (1 - m gamma_{m+1})
       (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
       Thm 10.3); failure certifies lambda_min(M) <= the same bound, by the
       contrapositive of Demmel's condition (Thm 10.7).
-    - ``batch_opnorm``: the power-of-two scaling is exact; its Gram of the
-      smaller side, m = min(n, p), is off by at most m gamma_{n + p - m}
-      sigma^2 <= n p u sigma^2 (as above, each entry sums max(n, p)
-      products); ``eigvalsh`` is backward stable, its top eigenvalue within
+    - ``batch_opnorm``: the power-of-two scaling is exact; its own Gram of
+      the smaller side is off by at most n p u sigma^2, as above;
+      ``eigvalsh`` is backward stable, its top eigenvalue within
       c(m) u ||G||_2 of the rounded Gram's by Weyl's inequality, with
       LAPACK's modest c(m), taken here as m^2; and the square root rounds
       once. So |s^2 - sigma^2| <= (n p + m^2 + 2) u sigma^2 to first order.
 
     Chained, a success at 1 - delta gives s^2 < t0^2, and a failure at
     1 + delta gives s^2 >= t0^2, once delta exceeds the first-order sum
-    (n^2 + 2 p (p + 1) + n p + m^2 + 7) u <= 2 (n + p + 1)^2 u. The helper
+    (2 n p + 2 m (m + 1) + m^2 + 7) u <= 2 (n + p + 1)^2 u. The helper
     takes delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11 at 50x50. The
     second-order terms stay below the first-order ones while delta < 1e-3,
     that is n + p < 5e5. With t0 in [2^-450, 2^450] and the Gram diagonal
@@ -215,14 +216,14 @@ def opnorm_against(images, t0: float) -> np.ndarray:
     a = _stack(images, as_matrix, "A")
     count, n, p = a.shape
     with np.errstate(over="ignore"):  # an overflowing Gram takes batch_opnorm
-        gram = a.mT @ a
+        gram = a @ a.mT if n < p else a.mT @ a
     if not (1.0 / _SAFE <= t0 <= _SAFE
             and np.max(gram.diagonal(axis1=1, axis2=2)) <= _SAFE * _SAFE):
         return batch_opnorm(a)
     values = np.full(count, np.inf)
     delta = 32.0 * (n + p + 1) ** 2 * _U
-    below = t0 * t0 * (1.0 - delta) * np.eye(p)
-    above = t0 * t0 * (1.0 + delta) * np.eye(p)
+    below = t0 * t0 * (1.0 - delta) * np.eye(min(n, p))
+    above = t0 * t0 * (1.0 + delta) * np.eye(min(n, p))
     band = []
     for i, g in enumerate(gram):
         # the transpose is Fortran-ordered, so dpotrf works in place

@@ -6,8 +6,8 @@ the randomization engine, noise-family symmetries, the closed-form theory
 quantities, and experiment levels and reproducibility.  ``quick`` runs
 reduced replicate counts; ``full`` runs the documented ones.
 Contracts that an installed NumPy, SciPy or BLAS cannot change (stream
-determinism, exact group composition, the theory's monotonicity, CSV round
-trips, the CLI) are asserted by the test suite alone.
+determinism, the exact discrete group actions, the theory's monotonicity,
+CSV round trips, the CLI) are asserted by the test suite alone.
 ``null_levels`` and ``worker_determinism`` take their configs as arguments,
 so the acceptance suite asserts those invariants through the same code.
 
@@ -33,8 +33,7 @@ from .engine import (
     exact_level,
     run_randomization_test,
 )
-from .groups import GroupAction, apply_action, sample_haar_orthogonal, \
-    sample_sphere_image
+from .groups import GroupAction, _orthonormal_frames, _sphere_images
 from .noise import NoiseSpec, sample_noise
 from .numerics import RngStream, normal_cdf, normal_quantile, operator_norm, \
     qr_orthonormalize
@@ -198,12 +197,10 @@ def _check_quantile_roundtrip(stream: RngStream, budget: dict) -> CheckResult:
 def _check_haar_invariance(stream: RngStream, budget: dict) -> CheckResult:
     p = 5
     draws = budget["ks_draws"]
-    q = sample_haar_orthogonal(p, stream.child(0)).payload
+    q = _orthonormal_frames((1, p, p), stream.child(0).generator())[0]
     gen = stream.child(1).generator()
-    t_plain = np.array([np.trace(sample_haar_orthogonal(p, gen).payload)
-                        for _ in range(draws)])
-    t_mult = np.array([np.trace(q @ sample_haar_orthogonal(p, gen).payload)
-                       for _ in range(draws)])
+    t_plain = np.trace(_orthonormal_frames((draws, p, p), gen), axis1=1, axis2=2)
+    t_mult = np.trace(q @ _orthonormal_frames((draws, p, p), gen), axis1=1, axis2=2)
     pval = _spstats.ks_2samp(t_plain, t_mult).pvalue
     return _result("haar_trace_invariance", pval > KS_ALPHA,
                    f"KS p-value {pval:.4f} on {draws} draws each")
@@ -214,10 +211,8 @@ def _check_lazy_eager(stream: RngStream, budget: dict) -> CheckResult:
     draws = budget["ks_draws"]
     x = stream.child(0).generator().standard_normal(p)
     gen = stream.child(1).generator()
-    lazy = np.array([np.max(np.abs(sample_sphere_image(x, gen)))
-                     for _ in range(draws)])
-    eager = np.array([np.max(np.abs(apply_action(sample_haar_orthogonal(p, gen), x)))
-                      for _ in range(draws)])
+    lazy = np.max(np.abs(_sphere_images(x, draws, gen)), axis=1)
+    eager = np.max(np.abs(_orthonormal_frames((draws, p, p), gen) @ x), axis=1)
     pval = _spstats.ks_2samp(lazy, eager).pvalue
     return _result("lazy_eager_agreement", pval > KS_ALPHA,
                    f"KS p-value {pval:.4f} on {draws} draws each")
@@ -363,7 +358,7 @@ def _check_sign_symmetry(stream: RngStream, budget: dict) -> CheckResult:
 def _check_rotational_invariance(stream: RngStream, budget: dict) -> CheckResult:
     p = 8
     spec = NoiseSpec("spherical", 64, p, radial="student", df=4.0)
-    o = sample_haar_orthogonal(p, stream.child(0)).payload
+    o = _orthonormal_frames((1, p, p), stream.child(0).generator())[0]
     gen = stream.child(1).generator()
     batches = max(budget["ks_draws"] // 64, 10)
     plain = np.concatenate([

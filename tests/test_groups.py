@@ -1,5 +1,5 @@
-"""Unit tests for the invariance groups: sampler laws, actions, and
-composition."""
+"""Unit tests for the invariance groups: the laws of the batched draws and
+their actions on data."""
 
 import numpy as np
 import pytest
@@ -8,230 +8,171 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from invartest.groups import (
-    KINDS,
-    GroupAction,
-    GroupElement,
-    apply_action,
-    compose,
-    sample_haar_orthogonal,
-    sample_permutation,
-    sample_signflips,
-    sample_sphere_image,
-)
+from invartest.groups import KINDS, GroupAction, _orthonormal_frames
 from invartest.numerics import RngStream, qr_orthonormalize
 
 
 class TestSignflips:
     def test_single_row_frequency(self):
         gen = RngStream(41001).generator()
-        draws = np.array([sample_signflips(1, gen).payload[0] for _ in range(100_000)])
+        draws = GroupAction("signflip_rows", n=1).randomize_batch(np.ones(1), 100_000, gen)
         freq = np.mean(draws == 1.0)
         assert abs(freq - 0.5) <= 3 * np.sqrt(0.25 / 100_000)
 
     def test_mean_of_many_signs(self):
         gen = RngStream(41002).generator()
         n, reps = 8, 100_000
-        total = np.zeros(n)
-        for _ in range(reps):
-            total += sample_signflips(n, gen).payload
-        grand_mean = total.sum() / (reps * n)
-        assert abs(grand_mean) <= 3.0 / np.sqrt(reps * n)
+        signs = GroupAction("signflip_rows", n=n).randomize_batch(np.ones(n), reps, gen)
+        assert abs(signs.mean()) <= 3.0 / np.sqrt(reps * n)
 
+    # the image of the all-ones vector is the sign vector itself, and the
+    # same draw flips the rows of any x by it
     def test_direct_action(self):
-        g = GroupElement("signflip_rows", np.array([-1.0, 1.0]))
-        x = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_array_equal(apply_action(g, x), [[-1.0, -2.0], [3.0, 4.0]])
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        action = GroupAction("signflip_rows", n=3)
+        signs = action.randomize_batch(np.ones(3), 20, RngStream(41033))
+        assert_array_equal(action.randomize_batch(x, 20, RngStream(41033)),
+                           signs[:, :, None] * x)
 
     def test_vector_action(self):
-        g = GroupElement("signflip_rows", np.array([1.0, -1.0, -1.0]))
-        assert_array_equal(apply_action(g, [1.0, 2.0, 3.0]), [1.0, -2.0, -3.0])
+        x = np.array([1.0, 2.0, 3.0])
+        action = GroupAction("signflip_rows", n=3)
+        signs = action.randomize_batch(np.ones(3), 20, RngStream(41034))
+        assert_array_equal(action.randomize_batch(x, 20, RngStream(41034)), signs * x)
 
     def test_payload_values(self):
         gen = RngStream(41003).generator()
-        signs = sample_signflips(20, gen).payload
-        assert set(np.unique(signs)) <= {-1.0, 1.0}
+        signs = GroupAction("signflip_rows", n=20).randomize_batch(np.ones(20), 50, gen)
+        assert set(np.unique(signs)) == {-1.0, 1.0}
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            sample_signflips(0, RngStream(1).generator())
+        with pytest.raises(ValueError, match="signflip_rows needs n >= 1"):
+            GroupAction("signflip_rows", n=0)
 
 
 class TestPermutations:
     def test_single_row_is_identity(self):
-        gen = RngStream(41004).generator()
-        for _ in range(5):
-            assert_array_equal(sample_permutation(1, gen).payload, [0])
+        x = np.array([[2.0, 3.0]])
+        images = GroupAction("permute_rows", n=1).randomize_batch(x, 5, RngStream(41004))
+        assert_array_equal(images, np.broadcast_to(x, (5, 1, 2)))
 
     def test_uniform_over_s3(self):
         gen = RngStream(41005).generator()
         reps = 60_000
-        counts = {}
-        for _ in range(reps):
-            key = tuple(sample_permutation(3, gen).payload)
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 6
+        images = GroupAction("permute_rows", n=3).randomize_batch(np.arange(3.0), reps, gen)
+        keys, counts = np.unique(images, axis=0, return_counts=True)
+        assert len(keys) == 6
         se = np.sqrt((1 / 6) * (5 / 6) / reps)
-        for key, c in counts.items():
+        for key, c in zip(keys, counts):
             assert abs(c / reps - 1 / 6) <= 3 * se, key
 
     def test_direct_action_swap(self):
-        g = GroupElement("permute_rows", np.array([1, 0]))
-        assert_array_equal(apply_action(g, [[1.0], [5.0]]), [[5.0], [1.0]])
+        images = GroupAction("permute_rows", n=2).randomize_batch([[1.0], [5.0]], 50,
+                                                                  RngStream(41035))
+        assert {tuple(y) for y in images[:, :, 0]} == {(1.0, 5.0), (5.0, 1.0)}
 
     def test_row_multiset_preserved(self):
         gen = RngStream(41006).generator()
         x = gen.standard_normal((6, 3))
-        g = sample_permutation(6, gen)
-        y = apply_action(g, x)
-        assert_array_equal(np.sort(y, axis=0), np.sort(x, axis=0))
+        images = GroupAction("permute_rows", n=6).randomize_batch(x, 10, gen)
+        assert_array_equal(np.sort(images, axis=1), np.broadcast_to(np.sort(x, axis=0),
+                                                                    images.shape))
 
 
 class TestHaarOrthogonal:
     def test_p1_is_random_sign(self):
-        gen = RngStream(41007).generator()
-        vals = {float(sample_haar_orthogonal(1, gen).payload[0, 0]) for _ in range(50)}
-        assert vals == {-1.0, 1.0}
+        vals = _orthonormal_frames((50, 1, 1), RngStream(41007).generator())
+        assert set(vals.ravel()) == {-1.0, 1.0}
 
     def test_orthogonality(self):
-        gen = RngStream(41008).generator()
-        o = sample_haar_orthogonal(8, gen).payload
-        assert np.linalg.norm(o.T @ o - np.eye(8)) <= 1e-10
+        o = _orthonormal_frames((20, 8, 8), RngStream(41008).generator())
+        assert np.max(np.linalg.norm(o.mT @ o - np.eye(8), axis=(1, 2))) <= 1e-10
 
     def test_first_entry_second_moment(self):
         # O_11^2 has mean 1/p; its variance is 2(p-1)/(p^2 (p+2))
         gen = RngStream(41009).generator()
         p, reps = 5, 20_000
-        vals = np.array(
-            [sample_haar_orthogonal(p, gen).payload[0, 0] ** 2 for _ in range(reps)]
-        )
+        vals = _orthonormal_frames((reps, p, p), gen)[:, 0, 0] ** 2
         var = 2 * (p - 1) / (p**2 * (p + 2))
         assert abs(vals.mean() - 1 / p) <= 3 * np.sqrt(var / reps)
 
     def test_rotation_isometry(self):
         gen = RngStream(41010).generator()
-        x = gen.standard_normal((4, 6))
-        g = sample_haar_orthogonal(6, gen)
-        y = apply_action(g, x)
-        assert_allclose(
-            np.linalg.norm(y, axis=1), np.linalg.norm(x, axis=1), atol=1e-10
-        )
+        for rows in (4, 9):  # a Stiefel frame, a full rotation
+            x = gen.standard_normal((rows, 6))
+            y = GroupAction("rotate_full", p=6).randomize_batch(x, 10, gen)
+            assert_allclose(np.linalg.norm(y, axis=2),
+                            np.broadcast_to(np.linalg.norm(x, axis=1), (10, rows)), atol=1e-10)
 
 
 class TestSphereImage:
     def test_zero_maps_to_zero(self):
-        assert_array_equal(
-            sample_sphere_image(np.zeros(4), RngStream(1).generator()), np.zeros(4)
-        )
+        images = GroupAction("rotate_full", p=4).randomize_batch(np.zeros(4), 3, RngStream(1))
+        assert_array_equal(images, np.zeros((3, 4)))
 
     def test_norm_preserved(self):
         gen = RngStream(41011).generator()
+        action = GroupAction("rotate_full", p=7)
         for _ in range(20):
             x = gen.standard_normal(7) * 3.0
-            y = sample_sphere_image(x, gen)
-            assert np.linalg.norm(y) == pytest.approx(
-                np.linalg.norm(x), rel=1e-12
-            )
+            y = action.randomize_batch(x, 5, gen)
+            assert_allclose(np.linalg.norm(y, axis=1), np.linalg.norm(x), rtol=1e-12)
 
     def test_first_coordinate_uniform_p3(self):
         # on S^2 each coordinate of a uniform point is uniform on [-1, 1]
         gen = RngStream(41012).generator()
         x = np.array([1.0, 0.0, 0.0])
-        coords = np.array(
-            [sample_sphere_image(x, gen)[0] for _ in range(5000)]
-        )
+        coords = GroupAction("rotate_full", p=3).randomize_batch(x, 5000, gen)[:, 0]
         res = stats.kstest(coords, stats.uniform(loc=-1.0, scale=2.0).cdf)
         assert res.pvalue > 0.01
 
-    def test_rejects_matrix(self):
-        with pytest.raises(ValueError, match="vector"):
-            sample_sphere_image(np.ones((2, 2)), RngStream(1).generator())
-
-
-# the identity of each kind acting on a 5x3 matrix
-IDENTITIES = {
-    "signflip_rows": GroupElement("signflip_rows", np.ones(5)),
-    "permute_rows": GroupElement("permute_rows", np.arange(5)),
-    "rotate_full": GroupElement("rotate_full", np.eye(3)),
-    "rotate_per_column": GroupElement("rotate_per_column", (np.eye(5),) * 3),
-}
-
 
 class TestApplyAction:
+    # the images of the identity under one draw are its elements: sign and
+    # permutation matrices exactly, orthogonal matrices (unit columns for
+    # rotate_per_column) to rounding; the same draw maps x to those elements
+    # applied to x
     @pytest.mark.parametrize("kind", KINDS)
     def test_identity_is_exact(self, kind):
-        gen = RngStream(41013).generator()
-        x = gen.standard_normal((5, 3))
-        assert_array_equal(apply_action(IDENTITIES[kind], x), x)
+        x = RngStream(41013).generator().standard_normal((5, 5))
+        action = _action_for(kind, x)
+        elements = action.randomize_batch(np.eye(5), 10, RngStream(41036))
+        images = action.randomize_batch(x, 10, RngStream(41036))
+        if kind == "rotate_full":
+            assert_allclose(elements @ elements.mT, np.broadcast_to(np.eye(5), (10, 5, 5)),
+                            atol=1e-12)
+            assert_allclose(images, x @ elements, atol=1e-12)
+        elif kind == "rotate_per_column":
+            assert_allclose(np.linalg.norm(elements, axis=1), 1.0, rtol=1e-15)
+            assert_array_equal(images, elements * np.linalg.norm(x, axis=0))
+        else:
+            assert_array_equal(np.abs(elements).sum(axis=1), 1.0)
+            assert_array_equal(np.abs(elements).sum(axis=2), 1.0)
+            assert_array_equal(images, elements @ x)
 
     def test_all_minus_one_negates(self):
+        # 1 of the 16 elements; 200 draws miss it with probability 3e-6
         x = RngStream(41014).generator().standard_normal((4, 2))
-        g = GroupElement("signflip_rows", -np.ones(4))
-        assert_array_equal(apply_action(g, x), -x)
+        images = GroupAction("signflip_rows", n=4).randomize_batch(x, 200, RngStream(41037))
+        assert any(np.array_equal(y, -x) for y in images)
 
     def test_dimension_mismatches(self):
         x = np.ones((3, 2))
-        with pytest.raises(ValueError, match="cannot act"):
-            apply_action(GroupElement("signflip_rows", np.ones(4)), x)
-        with pytest.raises(ValueError, match="cannot act"):
-            apply_action(GroupElement("permute_rows", np.arange(5)), x)
-        with pytest.raises(ValueError, match="cannot act"):
-            apply_action(GroupElement("rotate_full", np.eye(4)), x)
+        for action in (GroupAction("signflip_rows", n=4), GroupAction("permute_rows", n=5),
+                       GroupAction("rotate_full", p=4)):
+            with pytest.raises(ValueError, match="cannot act"):
+                action.randomize_batch(x, 2, RngStream(1))
 
     def test_per_column_rotation_preserves_column_norms(self):
         gen = RngStream(41015).generator()
         x = gen.standard_normal((6, 3))
-        action = GroupAction("rotate_per_column", n=6, p=3)
-        y = apply_action(action.sample(gen), x)
-        assert_allclose(
-            np.linalg.norm(y, axis=0), np.linalg.norm(x, axis=0), atol=1e-10
-        )
+        y = GroupAction("rotate_per_column", n=6, p=3).randomize_batch(x, 10, gen)
+        assert_allclose(np.linalg.norm(y, axis=1),
+                        np.broadcast_to(np.linalg.norm(x, axis=0), (10, 3)), atol=1e-10)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown group kind"):
-            GroupElement("reflect_rows", None)
-
-
-class TestCompose:
-    def test_signflip_composition_exact(self):
-        gen = RngStream(41016).generator()
-        for n in range(2, 9):
-            x = gen.standard_normal((n, 2))
-            for _ in range(50):
-                g = sample_signflips(n, gen)
-                h = sample_signflips(n, gen)
-                assert_array_equal(
-                    apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
-                )
-
-    def test_permutation_composition_exact(self):
-        gen = RngStream(41017).generator()
-        for n in range(2, 9):
-            x = gen.standard_normal((n, 2))
-            for _ in range(50):
-                g = sample_permutation(n, gen)
-                h = sample_permutation(n, gen)
-                assert_array_equal(
-                    apply_action(compose(g, h), x), apply_action(g, apply_action(h, x))
-                )
-
-    def test_identity_is_neutral(self):
-        gen = RngStream(41018).generator()
-        g = sample_permutation(4, gen)
-        e = GroupElement("permute_rows", np.arange(4))
-        assert_array_equal(compose(g, e).payload, g.payload)
-        assert_array_equal(compose(e, g).payload, g.payload)
-
-    def test_mixed_kinds_rejected(self):
-        g = GroupElement("signflip_rows", np.ones(3))
-        h = GroupElement("permute_rows", np.arange(3))
-        with pytest.raises(ValueError, match="compose"):
-            compose(g, h)
-
-    def test_continuous_kinds_rejected(self):
-        g = GroupElement("rotate_full", np.eye(3))
-        with pytest.raises(ValueError, match="discrete"):
-            compose(g, g)
+            GroupAction("reflect_rows", n=3)
 
 
 class TestGroupAction:
@@ -243,7 +184,7 @@ class TestGroupAction:
         with pytest.raises(ValueError):
             GroupAction("permute_rows", n=0)
 
-    def test_randomize_matches_sample_apply_in_law(self):
+    def test_randomize_matches_sample_apply_in_law(self, eager_images):
         # lazy sphere-image path vs eager matrix path: same distribution
         gen_a = RngStream(41019, 0).generator()
         gen_b = RngStream(41019, 1).generator()
@@ -252,12 +193,7 @@ class TestGroupAction:
         lazy = np.array(
             [np.max(np.abs(action.randomize(x, gen_a))) for _ in range(4000)]
         )
-        eager = np.array(
-            [
-                np.max(np.abs(apply_action(action.sample(gen_b), x)))
-                for _ in range(4000)
-            ]
-        )
+        eager = np.max(np.abs(eager_images(action, x, 4000, gen_b)), axis=1)
         res = stats.ks_2samp(lazy, eager)
         assert res.pvalue > 0.01
 
@@ -357,7 +293,7 @@ class TestRandomizeBatch:
             assert one.tobytes() == first.tobytes()
 
     @pytest.mark.parametrize("rank", [3, 1])
-    def test_stiefel_draw_matches_eager_rotation_in_law(self, rank):
+    def test_stiefel_draw_matches_eager_rotation_in_law(self, rank, eager_images):
         # 1 < n < p: the lazy image R^T S^T against X O^T with O Haar on R^p
         gen = RngStream(41023, rank).generator()
         x = gen.standard_normal((3, rank)) @ gen.standard_normal((rank, 6))
@@ -365,7 +301,7 @@ class TestRandomizeBatch:
         draws = 3000
         lazy = action.randomize_batch(x, draws, RngStream(41024, rank))
         eager_gen = RngStream(41025, rank).generator()
-        eager = np.stack([apply_action(action.sample(eager_gen), x) for _ in range(draws)])
+        eager = eager_images(action, x, draws, eager_gen)
         # a rotation keeps the Gram matrix of the rows exactly
         assert_allclose(lazy @ lazy.mT, np.broadcast_to(x @ x.T, (draws, 3, 3)),
                         atol=1e-10 * np.sum(x * x))
@@ -406,23 +342,33 @@ class _StubGenerator:
 
 
 class TestShapeChecks:
-    # every kind checks the data against its n and p, lazily as eagerly
-    @pytest.mark.parametrize("action, x", [
-        (GroupAction("signflip_rows", n=5), np.ones((3, 2))),
-        (GroupAction("permute_rows", n=5), np.ones((3, 2))),
-        (GroupAction("rotate_full", p=7), np.ones((3, 2))),
-        (GroupAction("rotate_full", p=7), np.ones(3)),
-        (GroupAction("rotate_per_column", n=5, p=2), np.ones((3, 2))),
-        (GroupAction("rotate_per_column", n=3, p=4), np.ones((3, 2))),
-    ])
-    def test_lazy_raises_as_eager(self, action, x):
-        with pytest.raises(ValueError) as eager:
-            apply_action(action.sample(RngStream(1).generator()), x)
-        with pytest.raises(ValueError) as lazy:
-            action.randomize(x, RngStream(1).generator())
-        assert str(lazy.value) == str(eager.value)
-        with pytest.raises(ValueError, match="cannot act|does not match"):
-            action.randomize_batch(x, 4, RngStream(1).generator())
+    # each mismatch raises one message naming both sizes, on every path
+    @pytest.mark.parametrize("action, x, message", [
+        (GroupAction("signflip_rows", n=5), np.ones((3, 2)),
+         "signflip of size 5 cannot act on 3 rows"),
+        (GroupAction("permute_rows", n=5), np.ones((3, 2)),
+         "permutation of size 5 cannot act on 3 rows"),
+        (GroupAction("rotate_full", p=7), np.ones((3, 2)),
+         "rotation of size 7 cannot act on 2 columns"),
+        (GroupAction("rotate_full", p=7), np.ones(3), "rotation of size 7 cannot act on length 3"),
+        (GroupAction("rotate_per_column", n=5, p=2), np.ones((3, 2)),
+         "column rotations of size 5 cannot act on 3 rows"),
+        (GroupAction("rotate_per_column", n=3, p=4), np.ones((3, 2)),
+         "4 column rotations cannot act on 2 columns"),
+        (GroupAction("signflip_rows", n=2), np.ones((2, 2, 2)),
+         "group elements act on a vector or a matrix, got ndim=3"),
+    ], ids=["signflip", "permutation", "rotate_matrix", "rotate_vector", "per_column_rows",
+            "per_column_columns", "ndim"])
+    def test_message_names_the_sizes(self, action, x, message):
+        draws = [lambda: action.randomize_batch(x, 4, RngStream(1)),
+                 lambda: action.randomize(x, RngStream(1))]
+        if action.kind in ("signflip_rows", "permute_rows"):
+            # the weights W act through the rows of W^T
+            draws.append(lambda: action.randomize_weights(x.T, 4, RngStream(1)))
+        for draw in draws:
+            with pytest.raises(ValueError) as err:
+                draw()
+            assert str(err.value) == message
 
 
 class TestRandomizeWeights:
@@ -459,19 +405,18 @@ class TestRandomizeWeights:
 
 
 class TestRotatePerColumnVector:
-    def test_vector_is_one_column(self):
+    def test_vector_is_one_column(self, eager_images):
         x = np.array([1.0, 2.0, 3.0, 4.0])
         action = GroupAction("rotate_per_column", n=4)
         lazy = action.randomize(x, RngStream(41029).generator())
-        eager = apply_action(action.sample(RngStream(41030).generator()), x)
+        eager = eager_images(action, x, 1, RngStream(41030).generator())[0]
         for y in (lazy, eager):
             assert y.shape == (4,)
             assert np.linalg.norm(y) == pytest.approx(np.sqrt(30.0), rel=1e-12)
 
-    def test_lazy_matches_eager_in_law(self):
+    def test_lazy_matches_eager_in_law(self, eager_images):
         x = np.array([1.0, -2.0, 0.5, 3.0])
         action = GroupAction("rotate_per_column", n=4)
         lazy = action.randomize_batch(x, 3000, RngStream(41031))[:, 0]
-        gen = RngStream(41032).generator()
-        eager = np.array([apply_action(action.sample(gen), x)[0] for _ in range(3000)])
+        eager = eager_images(action, x, 3000, RngStream(41032).generator())[:, 0]
         assert stats.ks_2samp(lazy, eager).pvalue > 0.01

@@ -3,7 +3,7 @@ checker."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -418,6 +418,11 @@ class TestBatchOpnorm:
 # Cholesky certificate cannot decide and the batch_opnorm fallback has to.
 class TestOpnormAgainst:
     @settings(max_examples=400, deadline=None, derandomize=True)
+    # a wide image takes the Gram of its rows, a tall one that of its columns
+    @example(n=32, p=128, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0, seed=51032)
+    @example(n=32, p=128, K=6, log_scale=1.5, zero_cols=0, pick=1, ulps=-1, seed=51033)
+    @example(n=128, p=32, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0, seed=51034)
+    @example(n=128, p=32, K=6, log_scale=-1.5, zero_cols=0, pick=1, ulps=1, seed=51035)
     @given(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
            log_scale=st.floats(-3.0, 3.0), zero_cols=st.integers(0, 3),
            pick=st.integers(0, 5), ulps=st.integers(-4, 4),
