@@ -12,7 +12,6 @@ from .engine import (
     brute_force_full_group_test,
     order_index,
     project_out_nuisance,
-    run_max_test,
     run_randomization_test,
 )
 from .experiments import (
@@ -88,7 +87,6 @@ __all__ = [
     "qr_orthonormalize",
     "regression_config",
     "run_experiment",
-    "run_max_test",
     "run_randomization_test",
     "sample_noise",
     "shipped_statistics",

@@ -24,6 +24,7 @@ from .groups import GroupAction
 from .numerics import RngStream
 from .statistics import make_statistic
 from .theory import (
+    REAL_FIELDS,
     ConsistencyInputs,
     bernoulli_bound_design,
     bernoulli_bound_regression,
@@ -346,6 +347,8 @@ def _take(kv: dict, key: str, kind, *, required=True, default=None):
             raise UsageError(f"missing parameter {key!r}")
         return default
     value = kv.pop(key)
+    if kind is int and not _is_int(value):
+        raise UsageError(f"parameter {key!r} must be an integer, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as e:
@@ -364,16 +367,12 @@ def _theory_varl_sparse(bare, kv) -> None:
     p = _take(kv, "p", int)
     chi2 = _take(kv, "chi2", float, required=False)
     tau = _take(kv, "tau", float, required=False)
-    family = _take(kv, "family", str, required=False, default="gaussian")
     _reject_leftover(kv)
     if (chi2 is None) == (tau is None):
         raise UsageError("give exactly one of tau= or chi2=")
     if tau is not None:
-        if family != "gaussian":
-            raise UsageError(f"unsupported family {family!r}; only 'gaussian' "
-                             "has a closed-form shift divergence")
         chi2 = chi2_shift_gaussian(tau)
-        echo = f"tau={tau:g} family={family} (chi2={chi2:.12g})"
+        echo = f"tau={tau:g} (chi2={chi2:.12g})"
     else:
         echo = f"chi2={chi2:g}"
     value = varL_sparse(n, p, chi2)
@@ -392,16 +391,12 @@ def _theory_varl_lowrank(bare, kv) -> None:
     print(f"value = {value:.12g}")
 
 
-_MARGIN_FLOAT_KEYS = ("s_inf", "s_2", "s_op", "s_2inf", "delta", "t", "t2",
-                      "t_tilde", "u_plus", "psi")
-
-
 def _theory_margin(bare, kv) -> None:
     if len(bare) != 1:
         raise UsageError("margin needs a proposition name, e.g. "
                          "'margin sparse_signflip s_inf=4 t=1'")
     fields = {}
-    for key in _MARGIN_FLOAT_KEYS:
+    for key in (*REAL_FIELDS, "psi"):
         value = _take(kv, key, float, required=False)
         if value is not None:
             fields[key] = value

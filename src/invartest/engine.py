@@ -37,7 +37,6 @@ __all__ = [
     "p_value_from_counts",
     "orbit_values",
     "run_randomization_test",
-    "run_max_test",
     "brute_force_full_group_test",
     "project_out_nuisance",
 ]
@@ -208,8 +207,9 @@ def run_randomization_test(
 
     The identity enters the multiset exactly once, as the observed value
     itself. The reported p-value uses the >= convention, so reject and
-    p_value <= alpha coincide only in the absence of ties. A test with
-    k > K can never reject; it runs, with a RuntimeWarning.
+    p_value <= alpha coincide only in the absence of ties. alpha = 1/(K+1)
+    gives k = K, the max test: reject iff f(X) exceeds all K values. A test
+    with k > K can never reject; it runs, with a RuntimeWarning.
     """
     t0, randomized = orbit_values(x, f, action, cfg.K, rng)
     k = order_index(cfg.K, cfg.alpha)
@@ -217,21 +217,6 @@ def run_randomization_test(
         warnings.warn(f"k = {k} exceeds K = {cfg.K} at alpha = {cfg.alpha}, "
                       "so this test can never reject", RuntimeWarning)
     return _outcome(t0, randomized, k)
-
-
-def run_max_test(
-    x,
-    f: TestStatistic,
-    action: GroupAction,
-    K: int,
-    rng: RngStream | np.random.Generator,
-) -> RandTestOutcome:
-    """Reject iff f(X) strictly exceeds all K randomized values.
-
-    This is the quantile rule at alpha = 1/(K+1), where ``order_index``
-    gives k = K.
-    """
-    return run_randomization_test(x, f, action, RandTestConfig(K, 1.0 / (K + 1)), rng)
 
 
 def brute_force_full_group_test(

@@ -145,6 +145,8 @@ class ScenarioConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        if not all(map(math.isfinite, self.grid)):
+            raise ValueError(f"grid values must be finite, got grid {self.grid}")
         if len(set(self.grid)) != len(self.grid):
             raise ValueError("grid values must be distinct")
         row = _SCENARIO_ROWS[self.scenario]
@@ -170,6 +172,8 @@ class ScenarioConfig:
                     )
         if self.noise is None:
             raise ValueError("noise spec is required")
+        if self.scenario == "heavy_tail" and self.noise.family != "iid_student":
+            raise ValueError(f"heavy_tail draws iid_student noise, not {self.noise.family!r}")
         rows = self.n + self.n2 if self.scenario == "two_sample" else self.n
         cols = 1 if self.scenario in ("two_sample", "regression") else self.p
         if (self.noise.n, self.noise.p) != (rows, cols):
@@ -361,7 +365,8 @@ def heavy_tail_config(
     ks: tuple[int, ...] = (19, 99),
     dfs: tuple[int, ...] = (3, 5),
 ) -> ScenarioConfig:
-    """Sparse scenario with iid Student t entries; signflip tests only."""
+    """Sparse scenario with iid Student t entries; signflip tests only. Each
+    ``_t<df>`` method label sets the df of its noise; the spec's df is unused."""
     for key, values in (("dfs", dfs), ("ks", ks)):
         if not values:
             raise ValueError(f"heavy_tail needs at least one entry in {key!r}")

@@ -1,10 +1,10 @@
 """Noise families.
 
 The families cover exactly what the scenarios need: iid entries (normal,
-Student t, Cauchy), spherically contoured rows (uniform direction times a
-radial law), and the sign-symmetric heteroskedastic rows used by the
-regression scenario. Student entries are built as Normal / sqrt(chi2_d / d)
-and spherical rows as radius * (Gaussian direction normalized), which are the
+Student t; Cauchy is t at df = 1), spherically contoured rows (uniform
+direction times a radial law), and the sign-symmetric heteroskedastic rows
+used by the regression scenario. Student entries are Normal / sqrt(chi2_d / d)
+and spherical rows radius * (Gaussian direction normalized): the
 definitional decompositions rather than CDF inversions.
 """
 
@@ -18,9 +18,8 @@ from .numerics import RngStream, as_generator, sample_chi2, sample_f
 
 __all__ = ["NoiseSpec", "sample_noise"]
 
-FAMILIES = ("iid_normal", "iid_student", "iid_cauchy", "spherical",
-            "heteroskedastic_sign_symmetric")
-RADIAL_LAWS = ("normal", "student", "cauchy")
+FAMILIES = ("iid_normal", "iid_student", "spherical", "heteroskedastic_sign_symmetric")
+RADIAL_LAWS = ("normal", "student")
 
 
 @dataclass(frozen=True)
@@ -28,11 +27,10 @@ class NoiseSpec:
     """An n x p noise distribution.
 
     family:
-      iid_normal / iid_student / iid_cauchy  independent entries (df for t)
+      iid_normal / iid_student  independent entries (df for t, 1 for Cauchy)
       spherical           rows with uniform direction and the radial law
                           implied by ``radial`` ("normal" -> chi2_p radius
-                          squared, "student" -> p * F_{p, df}, "cauchy" ->
-                          student with df = 1)
+                          squared, "student" -> p * F_{p, df})
       heteroskedastic_sign_symmetric
                           row i = scale_i * b_i * |V_i| with b_i Rademacher
                           and V_i entries Student t(df); default scale is
@@ -75,17 +73,13 @@ def sample_noise(spec: NoiseSpec, rng: RngStream | np.random.Generator) -> np.nd
         return gen.standard_normal((n, p))
     if spec.family == "iid_student":
         return _student_entries(n, p, spec.df, gen)
-    if spec.family == "iid_cauchy":
-        return _student_entries(n, p, 1.0, gen)
     if spec.family == "spherical":
         direction = gen.standard_normal((n, p))
         direction /= np.linalg.norm(direction, axis=1, keepdims=True)
         if spec.radial == "normal":
             radius = np.sqrt(sample_chi2(p, n, gen))
-        elif spec.radial == "student":
-            radius = np.sqrt(p * sample_f(p, spec.df, n, gen))
         else:
-            radius = np.sqrt(p * sample_f(p, 1, n, gen))
+            radius = np.sqrt(p * sample_f(p, spec.df, n, gen))
         return radius[:, None] * direction
     scale = np.asarray(
         spec.scale if spec.scale is not None else 1.0 + np.arange(n) / n

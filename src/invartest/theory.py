@@ -35,6 +35,9 @@ __all__ = [
 PROPOSITIONS = ("sparse_signflip", "sparse_rotation", "lowrank", "regression",
                 "twosample")
 
+# ConsistencyInputs' nonnegative real fields; psi is real too, in (0, 1]
+REAL_FIELDS = ("s_inf", "s_2", "s_op", "s_2inf", "delta", "t", "t2", "t_tilde", "u_plus")
+
 # exp() overflows past ~709.78; anything above this exponent is reported as
 # the +infinity flag rather than a raised error
 _EXP_LIMIT = 700.0
@@ -135,14 +138,7 @@ def bernoulli_bound_regression(
         raise ValueError(
             f"eps_abs has length {eps.shape[0]}, design has {x.shape[0]} rows"
         )
-    gen = as_generator(rng)
-    m = pseudo_inverse(x) * eps[None, :]
-    signs = _signs(mc, x.shape[0], gen)
-    sups = np.max(np.abs(signs @ m.T), axis=1)
-    b_est = float(np.mean(sups))
-    se = float(np.std(sups, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
-    r = float(np.max(np.linalg.norm(m, axis=1))) if m.size else 0.0
-    return BernoulliBound(b_est, r, l, b_est + l * r, mc, se)
+    return _bernoulli_bound((pseudo_inverse(x) * eps[None, :])[:, None, :], l, mc, rng)
 
 
 def bernoulli_bound_design(
@@ -160,26 +156,28 @@ def bernoulli_bound_design(
     """
     _check_bound_args(l, mc)
     x = as_matrix(x, "X")
-    n, p = x.shape
-    gen = as_generator(rng)
-    pinv = pseudo_inverse(x)
     # gens[j, q, k] = [X^+]_{j,k} * X_{k,q}
-    gens = pinv[:, None, :] * x.T[None, :, :]
-    signs = _signs(mc, n, gen)
-    # per draw: max_j sum_q |sum_k gens[j,q,k] b_k|
-    inner = (signs @ gens.reshape(p * p, n).T).reshape(mc, p, p)
-    sups = np.max(np.sum(np.abs(inner), axis=2), axis=1)
-    b_est = float(np.mean(sups))
-    se = float(np.std(sups, ddof=1) / math.sqrt(mc)) if mc > 1 else 0.0
-    r = float(np.max(np.sum(np.sqrt(np.sum(gens ** 2, axis=2)), axis=1)))
-    return BernoulliBound(b_est, r, l, b_est + l * r, mc, se)
+    return _bernoulli_bound(pseudo_inverse(x)[:, None, :] * x.T[None, :, :], l, mc, rng)
 
 
 def _check_bound_args(l: float, mc: int):
-    if l <= 0:
+    if not l > 0:  # NaN fails too
         raise ValueError(f"l must be > 0, got {l}")
     if mc < 100:
         raise ValueError(f"mc must be >= 100, got {mc}")
+
+
+def _bernoulli_bound(gens: np.ndarray, l: float, mc: int, rng) -> BernoulliBound:
+    """U+ over generators gens[j, q] in R^n: b is the Monte Carlo mean over sign
+    vectors b of max_j sum_q |<gens[j, q], b>|; r = max_j sum_q ||gens[j, q]||_2."""
+    J, Q, n = gens.shape
+    signs = _signs(mc, n, as_generator(rng))
+    inner = (signs @ gens.reshape(J * Q, n).T).reshape(mc, J, Q)
+    sups = np.max(np.sum(np.abs(inner), axis=2), axis=1)
+    b_est = float(np.mean(sups))
+    se = float(np.std(sups, ddof=1) / math.sqrt(mc))
+    r = float(np.max(np.sum(np.sqrt(np.sum(gens ** 2, axis=2)), axis=1)))
+    return BernoulliBound(b_est, r, l, b_est + l * r, mc, se)
 
 
 @dataclass(frozen=True)
@@ -215,8 +213,7 @@ class ConsistencyInputs:
             raise ValueError(f"unknown proposition {self.proposition!r}")
         if not 0.0 < self.psi <= 1.0:
             raise ValueError(f"psi must lie in (0, 1], got {self.psi}")
-        for name in ("s_inf", "s_2", "s_op", "s_2inf", "delta", "t", "t2",
-                     "t_tilde", "u_plus"):
+        for name in REAL_FIELDS:
             value = getattr(self, name)
             if value is not None and not value >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {value}")

@@ -52,7 +52,7 @@ _BUDGETS = {
         subadd_trials=1000, mono_reps=400,
         null_reps=dict(sparse_vector=600, heavy_tail=400, two_sample=800,
                        lowrank=200, regression=300),
-        enum_max_n=8, tail_draws=100_000,
+        enum_max_n=8,
         repro_reps=100, repro_points=3,
     ),
     "full": dict(
@@ -61,7 +61,7 @@ _BUDGETS = {
         subadd_trials=10000, mono_reps=1000,
         null_reps=dict(sparse_vector=1000, heavy_tail=1000, two_sample=1000,
                        lowrank=500, regression=500),
-        enum_max_n=12, tail_draws=100_000,
+        enum_max_n=12,
         repro_reps=200, repro_points=4,
     ),
 }
@@ -372,15 +372,14 @@ def _check_rotational_invariance(stream: RngStream, budget: dict) -> CheckResult
 
 
 def _check_heavy_tails(stream: RngStream, budget: dict) -> CheckResult:
-    draws = budget["tail_draws"]
-    x = sample_noise(NoiseSpec("iid_cauchy", draws // 100, 100), stream)
+    x = sample_noise(NoiseSpec("iid_student", 1000, 100, df=1.0), stream)
     exceed = int(np.sum(np.abs(x) > 100.0))
     prob = 1.0 - 2.0 * math.atan(100.0) / math.pi  # P(|Cauchy| > 100)
-    expected = draws * prob
-    band = 3.0 * math.sqrt(draws * prob * (1.0 - prob))
+    expected = x.size * prob
+    band = 3.0 * math.sqrt(x.size * prob * (1.0 - prob))
     return _result("noise_heavy_tails", abs(exceed - expected) <= band,
                    f"|entry|>100 observed {exceed}, expected {expected:.1f} "
-                   f"+-{band:.1f} of {draws}")
+                   f"+-{band:.1f} of {x.size}")
 
 
 # ---------------------------------------------------------------------------

@@ -52,10 +52,11 @@ class TestTheorySubcommand:
 
     def test_varl_sparse_tau_route(self, capsys):
         rc = cli.main(
-            ["theory", "varL-sparse", "n=5", "p=4", "tau=0.5", "family=gaussian"]
+            ["theory", "varL-sparse", "n=5", "p=4", "tau=0.5"]
         )
         out = capsys.readouterr().out
         assert rc == 0
+        assert "varL-sparse n=5 p=4 tau=0.5 (chi2=" in out
         assert "0.622585739365" in out
 
     def test_varl_sparse_chi2_route(self, capsys):
@@ -70,13 +71,6 @@ class TestTheorySubcommand:
         assert (
             cli.main(["theory", "varL-sparse", "n=3", "p=2", "tau=1", "chi2=1"]) == 2
         )
-
-    def test_varl_sparse_family_guard(self, capsys):
-        rc = cli.main(
-            ["theory", "varL-sparse", "n=3", "p=2", "tau=1", "family=student"]
-        )
-        assert rc == 2
-        assert "family" in capsys.readouterr().err
 
     def test_margin_example(self, capsys):
         rc = cli.main(["theory", "margin", "sparse_signflip", "s_inf=4", "t=1"])
@@ -107,6 +101,8 @@ class TestTheorySubcommand:
         (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=0", "p=3"], "n must be at least 1"),
         (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=-4", "p=3"], "n must be at least 1"),
         (["sparse_signflip", "s_inf=4", "t=nan"], "t must be nonnegative"),
+        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=4.7", "p=3"],
+         "'n' must be an integer"),
     ])
     def test_margin_bad_value_named(self, capsys, args, named):
         rc = cli.main(["theory", "margin", *args])
@@ -122,6 +118,9 @@ class TestTheorySubcommand:
         (["varL-sparse", "n=3", "p=5", "tau=nan"], "tau"),
         (["varL-lowrank", "n=0", "tau=1"], "1 <= n <= 30"),
         (["varL-lowrank", "n=3", "tau=nan"], "tau"),
+        (["varL-sparse", "n=5.5", "p=4", "tau=0.5"], "'n' must be an integer"),
+        (["varL-sparse", "n=5", "p=4.0", "tau=0.5"], "'p' must be an integer"),
+        (["varL-lowrank", "n=3.9", "tau=1"], "'n' must be an integer"),
     ])
     def test_varl_bad_value_named(self, capsys, args, named):
         rc = cli.main(["theory", *args])
@@ -166,6 +165,15 @@ class TestTheorySubcommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "u_plus = 3" in out
+
+    def test_bernoulli_bound_nan_l(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, np.eye(3))
+        rc = cli.main(
+            ["theory", "bernoulli-bound", f"data={path}", "l=nan", "mc=200", "seed=5"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "l must be > 0" in captured.err and captured.out == ""
 
     def test_bernoulli_bound_bad_kind(self, tmp_path, capsys):
         path = write_matrix(tmp_path, np.eye(2))
@@ -495,6 +503,17 @@ class TestSimulateSubcommand:
         )
         rc = cli.main(["simulate", "--config", str(config)])
         assert rc == 2
+
+    def test_non_finite_grid_named(self, tmp_path, capsys):
+        # json.load reads NaN; the config must still be refused
+        config = write_config(
+            tmp_path, scenario={**TWO_SAMPLE, "grid_high": float("nan"), "grid_points": 3})
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "grid" in err
+        assert not out.exists()
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["simulate", "--config", "/nope/absent.json"]) == 2

@@ -24,7 +24,6 @@ from invartest.engine import (
     order_index,
     p_value_from_counts,
     project_out_nuisance,
-    run_max_test,
     run_randomization_test,
 )
 from invartest.groups import GroupAction
@@ -177,12 +176,14 @@ class TestRunRandomizationTest:
             assert a.reject == b.reject and a.p_value == b.p_value
 
 
-class TestRunMaxTest:
+class TestMaxTest:
     def test_constant_statistic(self):
+        # alpha = 1/(K+1) is the max test; all K values tie with t0
         stat = TestStatistic("const", 1.0, lambda xs: np.full(len(xs), 3.0), (3, 1))
         action = GroupAction("permute_rows", n=3)
-        out = run_max_test(np.ones((3, 1)), stat, action, 7, RngStream(61007))
-        assert out.reject is False
+        cfg = RandTestConfig(K=7, alpha=1.0 / 8)
+        out = run_randomization_test(np.ones((3, 1)), stat, action, cfg, RngStream(61007))
+        assert out.k == 7 and out.reject is False
 
 
 class TestBruteForce:
@@ -375,11 +376,10 @@ class TestDecisionProperties:
         stat = make_statistic("colmean_linf", sample_shape=(6, 2))
         action = GroupAction("signflip_rows", n=6)
         x = RngStream(seed, 0).generator().standard_normal((6, 2)) + shift
-        a = run_max_test(x, stat, action, K, RngStream(seed, 1))
         cfg = RandTestConfig(K=K, alpha=1.0 / (K + 1))
-        b = run_randomization_test(x, stat, action, cfg, RngStream(seed, 1))
-        assert (a.k, a.reject, a.p_value) == (b.k, b.reject, b.p_value)
-        assert_array_equal(a.randomized, b.randomized)
+        out = run_randomization_test(x, stat, action, cfg, RngStream(seed, 1))
+        assert out.k == K
+        assert out.reject == bool(out.t0 > np.max(out.randomized))
 
 
 class TestBlockedDraw:

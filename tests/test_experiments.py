@@ -143,6 +143,11 @@ class TestScenarioConfigValidation:
                 (0.0, 1.0, 1.0), ("signflip_K9",), 0.05, 10, 1,
             )
 
+    @pytest.mark.parametrize("grid", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 1.0)])
+    def test_grid_finite(self, grid):
+        with pytest.raises(ValueError, match="finite, got grid"):
+            dataclasses.replace(two_sample_config(1, grid_points=3, replicates=5), grid=grid)
+
     def test_alpha_domain(self):
         with pytest.raises(ValueError, match="alpha"):
             sparse_vector_config(seed=1, alpha=1.0)
@@ -161,6 +166,15 @@ class TestScenarioConfigValidation:
                 NoiseSpec("iid_student", 8, 5, df=3.0),
                 (0.0,), ("signflip_K9",), 0.05, 10, 1,
             )
+
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec("iid_normal", 32, 100),
+        NoiseSpec("spherical", 32, 100, radial="student", df=3.0),
+    ])
+    def test_heavy_tail_noise_must_be_student(self, noise):
+        cfg = heavy_tail_config(5, grid_points=1, replicates=200)
+        with pytest.raises(ValueError, match=repr(noise.family)):
+            dataclasses.replace(cfg, noise=noise)
 
     def test_df_suffix_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="df suffix"):

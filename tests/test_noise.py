@@ -24,7 +24,7 @@ class TestIidFamilies:
         assert res.pvalue > 0.01
 
     def test_cauchy_marginal_law(self):
-        spec = NoiseSpec("iid_cauchy", n=100, p=200)
+        spec = NoiseSpec("iid_student", n=100, p=200, df=1)
         draws = sample_noise(spec, RngStream(71003)).ravel()
         res = stats.kstest(draws, stats.cauchy.cdf)
         assert res.pvalue > 0.01
@@ -53,7 +53,7 @@ class TestSphericalFamily:
         assert res.pvalue > 0.01
 
     def test_cauchy_radial_is_student_with_df_one(self):
-        spec = NoiseSpec("spherical", n=20_000, p=3, radial="cauchy")
+        spec = NoiseSpec("spherical", n=20_000, p=3, radial="student", df=1)
         draws = sample_noise(spec, RngStream(71007))
         r2 = np.sum(draws**2, axis=1) / 3.0
         res = stats.kstest(r2, stats.f(dfn=3, dfd=1).cdf)

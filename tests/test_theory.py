@@ -212,6 +212,9 @@ class TestBernoulliBoundRegression:
             bernoulli_bound_regression(np.eye(3), np.ones(3), 1.0, 50, RngStream(1))
         with pytest.raises(ValueError, match="length"):
             bernoulli_bound_regression(np.eye(3), np.ones(4), 1.0, 200, RngStream(1))
+        # l and mc are checked before the inputs, and NaN is no valid l
+        with pytest.raises(ValueError, match="l must"):
+            bernoulli_bound_regression(np.eye(3), np.ones(4), math.nan, 200, RngStream(1))
 
 
 class TestBernoulliBoundDesign:
@@ -262,6 +265,8 @@ class TestBernoulliBoundDesign:
     def test_validation(self):
         with pytest.raises(ValueError, match="mc"):
             bernoulli_bound_design(np.eye(3), 1.0, 10, RngStream(1))
+        with pytest.raises(ValueError, match="l must"):
+            bernoulli_bound_design(np.eye(3), math.nan, 200, RngStream(1))
 
 
 class TestConsistencyMargin:
