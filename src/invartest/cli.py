@@ -141,19 +141,16 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
                          f"choose from {', '.join(exp.SCENARIOS)}")
     factory = exp._SCENARIO_ROWS[name].factory
     params = inspect.signature(factory, eval_str=True).parameters
-    allowed = set(params) | {"name"}
+    allowed = (set(params) | {"name"}) - {"seed"}  # the seed is top-level
     unknown = set(section) - allowed
     if unknown:
         raise UsageError(f"unknown config key: {sorted(unknown)[0]!r} "
                          f"(scenario {name!r})")
     if "alpha" not in section:
         raise UsageError("scenario section is missing required key 'alpha'")
-    if "seed" in section and doc.get("seed") is not None:
-        raise UsageError("seed given both at top level and in the scenario section")
-    config_seed = section.get("seed", doc.get("seed"))
-    _check_integers({"seed": config_seed, "workers": doc.get("workers")})
-    seed = _resolve_seed(flag_seed, config_seed)
-    kwargs = {k: v for k, v in section.items() if k not in ("name", "seed")}
+    _check_integers({"seed": doc.get("seed"), "workers": doc.get("workers")})
+    seed = _resolve_seed(flag_seed, doc.get("seed"))
+    kwargs = {k: v for k, v in section.items() if k != "name"}
     _check_integers({k: v for k, v in kwargs.items() if params[k].annotation is int})
     for key in ("ks", "dfs"):
         if key in kwargs:
@@ -190,7 +187,6 @@ def _cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else doc.get("workers")
     if workers is None:
         workers = os.cpu_count() or 1
-    workers = int(workers)
     if workers < 1:
         raise UsageError(f"workers must be >= 1, got {workers}")
     out = args.out if args.out is not None else doc.get("out")

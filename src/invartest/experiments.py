@@ -39,7 +39,7 @@ import numpy as np
 
 from .engine import decide, decide_stopping, order_index
 from .groups import _column_sphere_images, _gaussian_rows, _permutations, _signs
-from .noise import NoiseSpec, sample_noise
+from .noise import NoiseSpec, heteroskedastic_mean_abs, sample_noise
 from .numerics import (
     RngStream,
     normal_quantile,
@@ -47,7 +47,7 @@ from .numerics import (
     stream_generators,
     student_t_quantile,
 )
-from .statistics import batch_opnorm, opnorm_against
+from .statistics import _U, batch_ols_linf, batch_opnorm, opnorm_against
 from .theory import (
     ConsistencyInputs,
     bernoulli_bound_design,
@@ -172,8 +172,10 @@ class ScenarioConfig:
                     )
         if self.noise is None:
             raise ValueError("noise spec is required")
-        if self.scenario == "heavy_tail" and self.noise.family != "iid_student":
-            raise ValueError(f"heavy_tail draws iid_student noise, not {self.noise.family!r}")
+        family = {"heavy_tail": "iid_student",
+                  "regression": "heteroskedastic_sign_symmetric"}.get(self.scenario)
+        if family is not None and self.noise.family != family:
+            raise ValueError(f"{self.scenario} draws {family} noise, not {self.noise.family!r}")
         rows = self.n + self.n2 if self.scenario == "two_sample" else self.n
         cols = 1 if self.scenario in ("two_sample", "regression") else self.p
         if (self.noise.n, self.noise.p) != (rows, cols):
@@ -327,6 +329,8 @@ class PowerCurve:
 # default configurations
 
 def _signal_grid(high: float, points: int) -> tuple[float, ...]:
+    if not math.isfinite(high):  # np.linspace would warn and fill the grid with nan
+        raise ValueError(f"grid_high must be finite, got {high}")
     return tuple(float(v) for v in np.linspace(0.0, high, points))
 
 
@@ -500,22 +504,37 @@ def _two_sample_setup(cfg: ScenarioConfig) -> float | None:
     return student_t_quantile(1.0 - cfg.alpha / 2.0, cfg.n + cfg.n2 - 2)
 
 
+def _mean_gaps(rows: np.ndarray, n: int) -> np.ndarray:
+    """|mean of the first n - mean of the rest| along the last axis, as
+    ndarray.mean computes them; a row has the same bits in any stack."""
+    return np.abs(np.add.reduce(rows[..., :n], axis=-1) / n
+                  - np.add.reduce(rows[..., n:], axis=-1) / (rows.shape[-1] - n))
+
+
 def _two_sample_unit(cfg: ScenarioConfig, t_crit, mu: float, noise, methods):
-    # np.add.reduce(.) / n is what ndarray.mean computes, without its wrapper
+    """A gap between means of the centered values c, summed in any order, is
+    off by at most N u S to first order (N = n + n2, u = 2^-53, S = sum|c| /
+    min(n, n2); Higham, Accuracy and Stability, 2002, 3.1). So a value
+    further than 2 N u S from t0 lies on the side of its halves summed in
+    index order, as t0 is; those within 8 N u S are summed again that way,
+    and a permutation that keeps or swaps the halves ties exactly."""
     n = cfg.n
     w = sample_noise(cfg.noise, noise)[:, 0]
     w[n:] += mu
     centered = w - np.add.reduce(w) / w.size  # grand mean is the nuisance direction
-    t0 = abs(float(np.add.reduce(centered[:n]) / n
-                   - np.add.reduce(centered[n:]) / cfg.n2))
+    t0 = float(_mean_gaps(centered, n))
+    delta = 8.0 * w.size * _U * np.add.reduce(np.abs(centered)) / min(n, cfg.n2)
     for meth, gen in methods:
         if meth.kind == "t_test":
             t = _pooled_t(w[:n], w[n:])
             yield t is not None and abs(t) > t_crit
         else:
-            shuffled = centered[_permutations(meth.K, w.size, gen)]
-            vals = np.abs(np.add.reduce(shuffled[:, :n], axis=1) / n
-                          - np.add.reduce(shuffled[:, n:], axis=1) / cfg.n2)
+            perms = _permutations(meth.K, w.size, gen)
+            vals = _mean_gaps(centered[perms], n)
+            band = np.abs(vals - t0) <= delta
+            if band.any():
+                perms = np.concatenate([np.sort(perms[band, :n]), np.sort(perms[band, n:])], 1)
+                vals[band] = _mean_gaps(centered[perms], n)
             yield decide(t0, vals, meth.k)
 
 
@@ -543,20 +562,30 @@ def regression_design(cfg: ScenarioConfig) -> np.ndarray:
     return gen.standard_normal((cfg.n, cfg.p))
 
 
-def _regression_setup(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+def _regression_setup(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float]:
     design = regression_design(cfg)
-    return design[:, 0], pseudo_inverse(design)
+    pinv = pseudo_inverse(design)
+    return design[:, 0], pinv, float(np.linalg.norm(pinv, np.inf))
 
 
 def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
-    column, pinv = const
+    """Each of the p sums of n products is off by at most gamma_n R <= 2 n u R
+    in any order (R = ||pinv||_inf ||y||_inf; Higham, 3.1). So a value further
+    than 4 n u R from t0 lies on the side of its stacked matrix-vector
+    product, bitwise t0's; those within 8 n u R are recomputed that way
+    (``batch_ols_linf``), and an all-equal sign vector ties exactly."""
+    column, pinv, pinv_norm = const
     eps = sample_noise(cfg.noise, noise)[:, 0]
     y = tau * column + eps
     t0 = float(np.max(np.abs(pinv @ y)))
+    delta = 8.0 * cfg.n * _U * pinv_norm * np.max(np.abs(y))
     for meth, gen in methods:
         b = _signs(meth.K, cfg.n, gen)
         b *= y[None, :]
         vals = np.max(np.abs(pinv @ b.T), axis=0)
+        band = np.abs(vals - t0) <= delta
+        if band.any():
+            vals[band] = batch_ols_linf(b[band], pinv)
         yield decide(t0, vals, meth.k)
 
 
@@ -613,11 +642,6 @@ def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
     return total
 
 
-# mean absolute value of a t(3) variable, used for a representative noise
-# magnitude profile in the regression margin report
-_MEAN_ABS_T3 = 2.0 * math.sqrt(3.0) / math.pi
-
-
 def _regression_margin_notes(cfg: ScenarioConfig) -> dict:
     """Finite-sample margin for the realized design at the top grid point.
 
@@ -628,11 +652,10 @@ def _regression_margin_notes(cfg: ScenarioConfig) -> dict:
     design = regression_design(cfg)
     el = math.sqrt(2.0 * math.log(2.0 / cfg.alpha))
     mc = 2000
-    scale = 1.0 + np.arange(cfg.n) / cfg.n
     # paths far above any method index, so these streams never collide with
     # the per-unit children
     noise_bound = bernoulli_bound_regression(
-        design, scale * _MEAN_ABS_T3, el, mc, RngStream(cfg.seed, 0, (1000,)))
+        design, heteroskedastic_mean_abs(cfg.n), el, mc, RngStream(cfg.seed, 0, (1000,)))
     design_bound = bernoulli_bound_design(
         design, el, mc, RngStream(cfg.seed, 0, (1001,)))
     tau_top = cfg.grid[-1]

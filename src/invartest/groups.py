@@ -91,12 +91,9 @@ class GroupAction:
         _check_acts_on(self.kind, self.n, w.T)  # G acts on the n rows of W^T
         if self.kind == "signflip_rows":
             return _signs(K, self.n, gen)[:, None, :] * w
-        perms = _permutations(K, self.n, gen)
-        # row i of the image is row perms[k, i] of X, so W G_k moves column
-        # i of W to column perms[k, i]
-        out = np.empty((K, *w.shape))
-        out[np.arange(K)[:, None], :, perms] = w.T
-        return out
+        # row i of the image is row perms[k, i] of X, so column j of W G_k
+        # is column i of W where perms[k, i] = j
+        return w.T[np.argsort(_permutations(K, self.n, gen), axis=1)].mT
 
     def randomize_batch(
         self, x, K: int, rng: RngStream | np.random.Generator

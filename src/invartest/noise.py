@@ -10,16 +10,20 @@ definitional decompositions rather than CDF inversions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import RngStream, as_generator, sample_chi2, sample_f
 
-__all__ = ["NoiseSpec", "sample_noise"]
+__all__ = ["NoiseSpec", "heteroskedastic_mean_abs", "sample_noise"]
 
 FAMILIES = ("iid_normal", "iid_student", "spherical", "heteroskedastic_sign_symmetric")
 RADIAL_LAWS = ("normal", "student")
+# the heteroskedastic family's base law t(3), and E|t(3)|
+_HETERO_DF = 3.0
+_HETERO_MEAN_ABS = 2.0 * math.sqrt(3.0) / math.pi
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,11 @@ class NoiseSpec:
                           implied by ``radial`` ("normal" -> chi2_p radius
                           squared, "student" -> p * F_{p, df})
       heteroskedastic_sign_symmetric
-                          row i = scale_i * b_i * |V_i| with b_i Rademacher
-                          and V_i entries Student t(df); default scale is
-                          1 + (i - 1)/n
+                          row i = (1 + (i - 1)/n) * b_i * |V_i| with b_i
+                          Rademacher and V_i entries Student t(3)
+
+    ``df`` is read by iid_student and the student radial law only, and
+    ``radial`` by spherical only; a value that no draw reads is refused.
     """
 
     family: str
@@ -42,27 +48,31 @@ class NoiseSpec:
     p: int
     df: float | None = None
     radial: str = "normal"
-    scale: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError("dimensions must be >= 1")
-        if self.family == "iid_student" and (self.df is None or self.df <= 0):
-            raise ValueError(f"iid_student needs df > 0, got {self.df}")
-        if self.family == "spherical":
-            if self.radial not in RADIAL_LAWS:
-                raise ValueError(f"unknown radial law {self.radial!r}")
-            if self.radial == "student" and (self.df is None or self.df <= 0):
-                raise ValueError(f"student radial law needs df > 0, got {self.df}")
-        if self.family == "heteroskedastic_sign_symmetric":
-            if self.scale is not None and len(self.scale) != self.n:
-                raise ValueError(
-                    f"scale vector has length {len(self.scale)}, expected n = {self.n}"
-                )
-            if self.df is not None and self.df <= 0:
-                raise ValueError(f"base law needs df > 0, got {self.df}")
+        if self.radial not in (RADIAL_LAWS if self.family == "spherical" else ("normal",)):
+            raise ValueError(f"{self.family} noise does not take radial={self.radial!r}")
+        law = (f"the {self.radial} radial law" if self.family == "spherical"
+               else f"{self.family} noise")
+        if self.family == "iid_student" or self.radial == "student":
+            if self.df is None or not self.df > 0:
+                raise ValueError(f"{law} needs df > 0, got {self.df}")
+        elif self.df is not None:
+            raise ValueError(f"{law} does not read df, got {self.df}")
+
+
+def heteroskedastic_mean_abs(n: int) -> np.ndarray:
+    """E|eps_i| of the heteroskedastic family's rows i = 1, ..., n: the row
+    scale 1 + (i - 1)/n times E|t(3)| = 2 sqrt(3) / pi."""
+    return _row_scales(n) * _HETERO_MEAN_ABS
+
+
+def _row_scales(n: int) -> np.ndarray:
+    return 1.0 + np.arange(n) / n
 
 
 def sample_noise(spec: NoiseSpec, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -81,13 +91,9 @@ def sample_noise(spec: NoiseSpec, rng: RngStream | np.random.Generator) -> np.nd
         else:
             radius = np.sqrt(p * sample_f(p, spec.df, n, gen))
         return radius[:, None] * direction
-    scale = np.asarray(
-        spec.scale if spec.scale is not None else 1.0 + np.arange(n) / n
-    )
-    df = spec.df if spec.df is not None else 3.0
-    magnitudes = np.abs(_student_entries(n, p, df, gen))
+    magnitudes = np.abs(_student_entries(n, p, _HETERO_DF, gen))
     signs = gen.integers(0, 2, size=n) * 2.0 - 1.0
-    return scale[:, None] * signs[:, None] * magnitudes
+    return _row_scales(n)[:, None] * signs[:, None] * magnitudes
 
 
 def _student_entries(n: int, p: int, df: float, gen: np.random.Generator) -> np.ndarray:

@@ -205,10 +205,7 @@ def operator_norm(a) -> float:
 def pseudo_inverse(x) -> np.ndarray:
     """Moore-Penrose pseudo-inverse with singular values below
     1e-12 * sigma_max treated as zero."""
-    x = as_matrix(x, "X")
-    if not np.any(x):
-        return np.zeros((x.shape[1], x.shape[0]))
-    return np.linalg.pinv(x, rcond=1e-12)
+    return np.linalg.pinv(as_matrix(x, "X"), rcond=1e-12)
 
 
 def normal_cdf(z: float) -> float:

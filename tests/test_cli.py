@@ -4,6 +4,7 @@ formats, and configuration validation."""
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -485,16 +486,16 @@ class TestSimulateSubcommand:
         path.write_text("[1, 2]", encoding="utf-8")
         assert cli.main(["simulate", "--config", str(path)]) == 2
 
-    def test_seed_in_both_places(self, tmp_path, capsys):
+    def test_seed_in_scenario_section_unknown(self, tmp_path, capsys):
+        # the seed is a top-level key only, as "out" and "workers" are
         config = write_config(
-            tmp_path,
-            scenario={"name": "two_sample", "alpha": 0.05, "seed": 7,
-                      "replicates": 10},
+            tmp_path, seed=None,
+            scenario={"name": "two_sample", "alpha": 0.05, "seed": 7, "replicates": 10},
         )
-        rc = cli.main(["simulate", "--config", str(config)])
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "c.csv")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "seed" in err
+        assert err.startswith("error: unknown config key: 'seed'")
 
     def test_bad_factory_value(self, tmp_path, capsys):
         config = write_config(
@@ -514,6 +515,18 @@ class TestSimulateSubcommand:
         assert rc == 2
         assert err.startswith("error:") and "grid" in err
         assert not out.exists()
+
+    def test_infinite_grid_high_named(self, tmp_path, capsys):
+        # refused before np.linspace, which would warn on the infinite top
+        config = write_config(
+            tmp_path, scenario={**TWO_SAMPLE, "grid_high": float("inf"), "grid_points": 3})
+        assert "Infinity" in config.read_text(encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["simulate", "--config", str(config)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "grid_high" in err
 
     def test_missing_config_file(self, capsys):
         assert cli.main(["simulate", "--config", "/nope/absent.json"]) == 2
@@ -546,7 +559,7 @@ class TestSimulateSubcommand:
         ("dfs", {"scenario": {"name": "heavy_tail", "alpha": 0.05, "dfs": [3, 2.5]}}),
         ("seed", {"seed": 1.7}),
         ("seed", {"seed": 2.0}),
-        ("seed", {"seed": None, "scenario": {**TWO_SAMPLE, "seed": True}}),
+        ("seed", {"seed": "7"}),
         ("workers", {"workers": 2.5}),
         ("workers", {"workers": True}),
     ])

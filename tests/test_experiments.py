@@ -176,6 +176,16 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValueError, match=repr(noise.family)):
             dataclasses.replace(cfg, noise=noise)
 
+    @pytest.mark.parametrize("noise", [
+        NoiseSpec("iid_normal", 100, 1),
+        NoiseSpec("iid_student", 100, 1, df=3.0),
+    ])
+    def test_regression_noise_is_the_margin_notes_law(self, noise):
+        # the margin notes assume the heteroskedastic t(3) law
+        cfg = regression_config(3, replicates=10, grid_points=2)
+        with pytest.raises(ValueError, match=repr(noise.family)):
+            dataclasses.replace(cfg, noise=noise)
+
     def test_df_suffix_rejected_elsewhere(self):
         with pytest.raises(ValueError, match="df suffix"):
             ScenarioConfig(
@@ -419,31 +429,51 @@ class TestRunners:
         b = run_experiment(two_sample_config(seed=2, grid_points=2, replicates=120))
         assert not np.array_equal(a.counts, b.counts)
 
-    def test_lowrank_unit_is_the_engine_test(self, monkeypatch):
-        # each unit's t0 and rejection, seen through decide_stopping, against
-        # the opnorm statistic and the generic engine on the unit's streams
-        cfg = lowrank_config(7, grid_points=5, replicates=30)
+    # small sizes where exact ties are frequent: a permutation of 3 + 3 rows
+    # keeps or swaps the halves in 1 draw of 10, and 4 signs are all equal
+    # in 1 draw of 8; alpha = 0.5 puts k mid-orbit, where a tie counted
+    # below t0 flips more decisions
+    @pytest.mark.parametrize("scenario, kwargs", [
+        ("sparse_vector", dict(n=8, p=5, ks=(19,))),
+        ("heavy_tail", dict(n=8, p=5, ks=(19,), dfs=(3, 5))),
+        ("two_sample", dict(n=3, n2=3, K=99)),
+        ("two_sample", dict(n=4, n2=4, K=99)),
+        ("lowrank", dict()),
+        ("regression", dict(n=4, p=2, K=99, alpha=0.5)),
+        ("regression", dict(n=6, p=3, K=39, alpha=0.5)),
+    ], ids=["sparse_vector", "heavy_tail", "two_sample_n3", "two_sample_n4", "lowrank",
+            "regression_n4", "regression_n6"])
+    def test_unit_is_the_engine_test(self, monkeypatch, scenario, kwargs):
+        # each unit's rejections, read from a one-unit chunk, against the
+        # generic engine on the unit's own streams; the lowrank t0, seen
+        # through decide_stopping, is the opnorm statistic's
+        cfg = experiments._SCENARIO_ROWS[scenario].factory(
+            7, grid_points=5, replicates=30, **kwargs)
         seen = []
         decide_stopping = experiments.decide_stopping
 
         def spy(t0, orbit, K, k):
-            seen.append((t0, decide_stopping(t0, orbit, K, k)))
-            return seen[-1][1]
+            seen.append(t0)
+            return decide_stopping(t0, orbit, K, k)
 
         monkeypatch.setattr(experiments, "decide_stopping", spy)
-        counts = experiments._chunk(cfg, 0, 150)
-        assert len(seen) == 150 and 0 < counts.sum() < 150
-        base = experiments._lowrank_setup(cfg)
-        opnorm = make_statistic("opnorm")
-        action = GroupAction("rotate_per_column", n=cfg.n, p=cfg.p)
-        for u, (t0, reject) in enumerate(seen):
+        decisions = []
+        for u in range(len(cfg.grid) * cfg.replicates):
+            g = u // cfg.replicates
             stream = RngStream(cfg.seed, u)
-            x = sample_noise(cfg.noise, stream.child(0)) + cfg.grid[u // cfg.replicates] * base
-            assert t0 == opnorm(x)
-            out = run_randomization_test(x, opnorm, action, RandTestConfig(19, cfg.alpha),
-                                         stream.child(1))
-            assert reject == out.reject
-
+            counts = experiments._chunk(cfg, u, u + 1)[g]
+            tests = _engine_tests(cfg, cfg.grid[g], stream.child(0).generator())
+            for m, meth in enumerate(cfg.parsed):
+                if not meth.K:
+                    continue
+                x, stat, action = tests[meth.label]
+                if scenario == "lowrank":
+                    assert seen[-1] == stat(x)
+                out = run_randomization_test(x, stat, action, RandTestConfig(meth.K, cfg.alpha),
+                                             stream.child(1 + m))
+                assert counts[m] == out.reject, (u, meth.label)
+                decisions.append(out.reject)
+        assert any(decisions) and not all(decisions)
 
     def test_two_sample_t_test_unit_is_the_public_test(self):
         # each unit's t_test decision, read from a one-unit chunk, against
@@ -459,6 +489,35 @@ class TestRunners:
             assert experiments._chunk(cfg, u, u + 1)[g, col] == expected
             rejections += expected
         assert 0 < rejections < 100
+
+
+def _engine_tests(cfg, signal, gen):
+    """Per randomized method label: the data of one unit, drawn from its
+    noise generator as the scenario draws it, with the statistic and the
+    group of the engine test that the method runs."""
+    n, p, label = cfg.n, cfg.p, cfg.methods[0]
+    if cfg.scenario == "two_sample":
+        w = sample_noise(cfg.noise, gen)
+        w[n:] += signal
+        stat = make_statistic("twosample_diff", n=n, n_prime=cfg.n2)
+        return {label: (w, stat, GroupAction("permute_rows", n=n + cfg.n2))}
+    if cfg.scenario == "lowrank":
+        x = sample_noise(cfg.noise, gen) + signal * experiments._lowrank_setup(cfg)
+        return {label: (x, make_statistic("opnorm"),
+                        GroupAction("rotate_per_column", n=n, p=p))}
+    if cfg.scenario == "regression":
+        design = experiments.regression_design(cfg)
+        y = signal * design[:, 0] + sample_noise(cfg.noise, gen)[:, 0]
+        return {label: (y, make_statistic("ols_linf", design=design),
+                        GroupAction("signflip_rows", n=n))}
+    xs = {}
+    for df, spec in experiments._sparse_setup(cfg)[1].items():  # drawn in df order
+        xs[df] = sample_noise(spec, gen)
+        xs[df][:, 0] += signal
+    groups = {"signflip": GroupAction("signflip_rows", n=n),
+              "rotation": GroupAction("rotate_full", p=p)}
+    return {meth.label: (xs[meth.df], make_statistic("colmean_linf"), groups[meth.kind])
+            for meth in cfg.parsed if meth.K}
 
 
 class TestTwoSampleTTest:

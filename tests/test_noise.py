@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy import stats
 
-from invartest.noise import NoiseSpec, sample_noise
+from invartest.noise import NoiseSpec, heteroskedastic_mean_abs, sample_noise
 from invartest.numerics import RngStream
 
 
@@ -70,13 +70,19 @@ class TestSphericalFamily:
 
 class TestHeteroskedasticFamily:
     def test_row_scale_profile(self):
-        # default scale is 1 + (i - 1)/n, so the last row has 2 - 1/n times
-        # the magnitude of the first
+        # row i has scale 1 + (i - 1)/n, so the last row has 2 - 1/n times
+        # the magnitude of the first; heteroskedastic_mean_abs, which the
+        # regression margin notes read, is the mean of |entry| per row
         spec = NoiseSpec("heteroskedastic_sign_symmetric", n=2, p=200_000)
         total = np.zeros(2)
         draws = sample_noise(spec, RngStream(71009))
         total = np.abs(draws).mean(axis=1)
         assert total[1] / total[0] == pytest.approx(1.5, abs=0.05)
+        assert total == pytest.approx(heteroskedastic_mean_abs(2), rel=0.02)
+
+    def test_mean_abs_is_the_t3_law(self):
+        expected = (1.0 + np.arange(5) / 5) * 2.0 * stats.t(df=3).expect(abs, lb=0.0)
+        assert heteroskedastic_mean_abs(5) == pytest.approx(expected, rel=1e-9)
 
     def test_rows_flip_as_blocks(self):
         spec = NoiseSpec("heteroskedastic_sign_symmetric", n=8, p=30)
@@ -94,14 +100,6 @@ class TestHeteroskedasticFamily:
         ).ravel()
         res = stats.ks_2samp(sums, -sums)
         assert res.pvalue > 0.01
-
-    def test_custom_scale(self):
-        spec = NoiseSpec(
-            "heteroskedastic_sign_symmetric", n=2, p=100_000, scale=(1.0, 4.0)
-        )
-        draws = sample_noise(spec, RngStream(71012))
-        ratio = np.abs(draws[1]).mean() / np.abs(draws[0]).mean()
-        assert ratio == pytest.approx(4.0, abs=0.15)
 
 
 class TestNoiseSpecValidation:
@@ -121,9 +119,20 @@ class TestNoiseSpecValidation:
         with pytest.raises(ValueError, match="df"):
             NoiseSpec("spherical", n=5, p=2, radial="student")
 
-    def test_scale_length(self):
-        with pytest.raises(ValueError, match="scale"):
-            NoiseSpec("heteroskedastic_sign_symmetric", n=3, p=2, scale=(1.0, 2.0))
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(family="iid_normal", df=5.0), "df"),
+        (dict(family="heteroskedastic_sign_symmetric", df=7.0), "df"),
+        (dict(family="spherical", df=5.0), "df"),
+        (dict(family="spherical", radial="normal", df=5.0), "df"),
+        (dict(family="iid_student", df=5.0, radial="student"), "radial"),
+        (dict(family="iid_normal", radial="student"), "radial"),
+        (dict(family="heteroskedastic_sign_symmetric", radial="uniform"), "radial"),
+        (dict(family="iid_student", df=float("nan")), "df"),
+    ])
+    def test_unread_or_invalid_value_named(self, kwargs, field):
+        # a value that no draw of the family reads is refused, naming it
+        with pytest.raises(ValueError, match=field):
+            NoiseSpec(n=3, p=3, **kwargs)
 
     def test_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
