@@ -21,11 +21,19 @@ against X are those of the images G X.
 
 This module is the only place that reads a random stream for a group
 element. The helpers ``_signs``, ``_permutations``, ``_gaussian_rows``,
-``_sphere_images``, ``_column_sphere_images`` and ``_orthonormal_frames``
+``_sphere_images``, ``_column_gaussians`` and ``_orthonormal_frames``
 each fix one way of reading it: K sign vectors from one ``integers`` block,
 K permutations as the argsort of one ``random`` block, and K images or K
 Haar frames (the sign-fixed QR of a Gaussian stack; Mezzadri, Notices AMS,
-2007) from one standard normal block. The batched action on data and on
+2007) from one standard normal block.
+
+A column-sphere image is made in two steps: ``_column_gaussians`` draws the
+(K, n, p) normal block, and ``_scale_columns`` scales each Gaussian column
+to the norm of the column it replaces. ``_column_sphere_images`` composes
+the two. The scaling reads no stream and treats each slice alone, so a
+caller may look at the raw draw first and scale only the slices it needs:
+the lowrank power scenario certifies most far images from the Gram of the
+raw draw and never forms them. The batched action on data and on
 weights, the power-study scenarios, the Monte Carlo bounds and ``validate``
 all call them, so a K-row draw is the same values wherever it is made, and
 a draw of a rows followed by b rows equals one draw of a + b.
@@ -191,17 +199,31 @@ def _sphere_images(x: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarra
     return z * (radius / norms)[:, None]
 
 
-def _column_sphere_images(arr: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
-    """K images of ``arr`` under independent rotations of each column, each
-    column mapped to a uniform point on its sphere. A vector is one column.
-    One (K, n, p) normal draw: each Gaussian column, scaled to unit length,
-    takes its own column's norm, so zero columns stay zero. Row blocks of
-    the draw are prefixes of one draw of all K images."""
-    cols = arr[:, None] if arr.ndim == 1 else arr
-    z = gen.standard_normal((K, *cols.shape))
+def _column_gaussians(shape: tuple[int, int], K: int, gen: np.random.Generator) -> np.ndarray:
+    """The standard normal (K, n, p) draw behind K column-sphere images of
+    an n x p matrix (``_scale_columns`` makes them). Row blocks of the draw
+    are prefixes of one draw of all K."""
+    return gen.standard_normal((K, *shape))
+
+
+def _scale_columns(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """Each column of each (n, p) slice of a Gaussian draw ``z`` scaled to
+    unit length, then to its radius: a uniform point on the sphere of that
+    radius. ``radii`` holds the p column norms of the matrix acted on, so
+    zero columns stay zero. Scales ``z`` in place and returns it; a slice
+    has the same bits in any stack, so scaling any subset of the slices of
+    a draw gives the bits that scaling the whole draw gives them."""
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     z /= np.where(norms > 0.0, norms, 1.0)
-    z *= np.linalg.norm(cols, axis=0)
+    z *= radii
+    return z
+
+
+def _column_sphere_images(arr: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
+    """K images of ``arr`` under independent rotations of each column, each
+    column mapped to a uniform point on its sphere. A vector is one column."""
+    cols = arr[:, None] if arr.ndim == 1 else arr
+    z = _scale_columns(_column_gaussians(cols.shape, K, gen), np.linalg.norm(cols, axis=0))
     return z.reshape(K, *arr.shape)
 
 

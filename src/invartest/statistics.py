@@ -174,11 +174,14 @@ def opnorm_against(images, t0: float) -> np.ndarray:
     t0``, image by image.
 
     For an n x p image A, let G be the rounded Gram of its smaller side,
-    m x m with m = min(n, p): fl(A^T A) when n >= p, else fl(A A^T). If a
-    Cholesky factorisation (``dpotrf``) of t0^2 (1 - delta) I - G succeeds,
-    the value is below t0; else if one of t0^2 (1 + delta) I - G fails, it
-    is not. Only the images left between the two take ``batch_opnorm``, on
-    their own stack, which gives each the bits it has in any stack.
+    m x m with m = min(n, p): fl(A^T A) when n >= p, else fl(A A^T). Three
+    tiers decide, cheapest first. If the largest absolute row sum of G is
+    below t0^2 (1 - delta), the value is below t0 (Gershgorin; Golub & Van
+    Loan, Matrix Computations, 7.2.1). Else if a Cholesky factorisation
+    (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
+    else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
+    left between the two take ``batch_opnorm``, on their own stack, which
+    gives each the bits it has in any stack.
 
     Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
     exact largest singular value of A (and of A^T) and s the value of
@@ -188,6 +191,13 @@ def opnorm_against(images, t0: float) -> np.ndarray:
       gamma_max(n, p) |A|^T |A| (or |A| |A|^T) entrywise, in any summation
       order, and its 2-norm error is at most gamma_max(n, p) ||A||_F^2 <=
       n p u sigma^2 to first order (||A||_F^2 <= m sigma^2).
+    - Row sums: sigma^2 is at most ||A^T A||_inf, the largest absolute row
+      sum, as it bounds every eigenvalue. A row of |A|^T |A| sums to at
+      most m sigma^2 (Cauchy-Schwarz: |a_j|^T (|A| 1) <= sigma sqrt(m)
+      ||A||_F), so by the Gram bound above ||G||_inf, G symmetric or not,
+      is at least sigma^2 - n p u sigma^2; and a sum of m non-negative
+      terms rounds by at most gamma_m relative. So sigma^2 (1 - n p u) <=
+      r (1 + m u) to first order, r the largest computed row sum.
     - Shift: t0^2 (1 -+ delta) takes three roundings (gamma_3 relative) and
       the diagonal subtraction one more, at most u (t0^2 + ||G||_2).
     - Cholesky of the m x m M: success certifies that M + dM is positive
@@ -202,38 +212,56 @@ def opnorm_against(images, t0: float) -> np.ndarray:
       LAPACK's modest c(m), taken here as m^2; and the square root rounds
       once. So |s^2 - sigma^2| <= (n p + m^2 + 2) u sigma^2 to first order.
 
-    Chained, a success at 1 - delta gives s^2 < t0^2, and a failure at
-    1 + delta gives s^2 >= t0^2, once delta exceeds the first-order sum
-    (2 n p + 2 m (m + 1) + m^2 + 7) u <= 2 (n + p + 1)^2 u. The helper
-    takes delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11 at 50x50. The
-    second-order terms stay below the first-order ones while delta < 1e-3,
-    that is n + p < 5e5. With t0 in [2^-450, 2^450] and the Gram diagonal
-    at most 2^900, nothing overflows and an underflow costs at most 2^-1074
-    per operation, below 2^-121 u t0^2, which the slack in delta absorbs.
-    Any other t0, zero and negative ones included, or Gram, takes
-    ``batch_opnorm`` for every image.
+    Chained, a row sum below t0^2 (1 - delta) gives s^2 < t0^2 once delta
+    exceeds (2 n p + m^2 + m + 5) u, a success at 1 - delta gives s^2 <
+    t0^2, and a failure at 1 + delta gives s^2 >= t0^2, once delta exceeds
+    the first-order sum (2 n p + 2 m (m + 1) + m^2 + 7) u <= 2 (n + p + 1)^2
+    u. The helper takes delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11
+    at 50x50. The second-order terms stay below the first-order ones while
+    delta < 1e-3, that is n + p < 5e5. With t0 in [2^-450, 2^450] and the
+    Gram diagonal at most 2^900, nothing overflows (a row sum is at most m
+    2^900) and an underflow costs at most 2^-1074 per operation, below
+    2^-121 u t0^2, which the slack in delta absorbs. Any other t0, zero and
+    negative ones included, or Gram, takes ``batch_opnorm`` for every image.
     """
     a = _stack(images, as_matrix, "A")
+    return _opnorm_against(a, t0, _shifts(t0, *a.shape[1:]))[0]
+
+
+def _shifts(t0: float, n: int, p: int):
+    """The constants ``opnorm_against`` compares n x p images with, for one
+    t0: the row-sum bound t0^2 (1 - delta) and the shifted identities
+    t0^2 (1 -+ delta) I; None for a t0 outside [1/_SAFE, _SAFE]."""
+    if not 1.0 / _SAFE <= t0 <= _SAFE:
+        return None
+    delta = 32.0 * (n + p + 1) ** 2 * _U
+    eye = np.eye(min(n, p))
+    return t0 * t0 * (1.0 - delta), t0 * t0 * (1.0 - delta) * eye, t0 * t0 * (1.0 + delta) * eye
+
+
+def _opnorm_against(a: np.ndarray, t0: float, shifts) -> tuple[np.ndarray, bool]:
+    """``opnorm_against`` on a (count, n, p) float stack, with the
+    ``_shifts(t0, n, p)`` computed once by the caller; and whether the row
+    sums certified every image below t0."""
     count, n, p = a.shape
     with np.errstate(over="ignore"):  # an overflowing Gram takes batch_opnorm
         gram = a @ a.mT if n < p else a.mT @ a
-    if not (1.0 / _SAFE <= t0 <= _SAFE
-            and np.max(gram.diagonal(axis1=1, axis2=2)) <= _SAFE * _SAFE):
-        return batch_opnorm(a)
+    if shifts is None or not gram.diagonal(axis1=1, axis2=2).max() <= _SAFE * _SAFE:
+        return batch_opnorm(a), False
+    bound, below, above = shifts
     values = np.full(count, np.inf)
-    delta = 32.0 * (n + p + 1) ** 2 * _U
-    below = t0 * t0 * (1.0 - delta) * np.eye(min(n, p))
-    above = t0 * t0 * (1.0 + delta) * np.eye(min(n, p))
+    certified = np.abs(gram).sum(axis=2).max(axis=1) < bound
+    values[certified] = -np.inf
     band = []
-    for i, g in enumerate(gram):
+    for i in np.flatnonzero(~certified):
         # the transpose is Fortran-ordered, so dpotrf works in place
-        if dpotrf((below - g).T, overwrite_a=True)[1] == 0:
+        if dpotrf((below - gram[i]).T, overwrite_a=True)[1] == 0:
             values[i] = -np.inf
-        elif dpotrf((above - g).T, overwrite_a=True)[1] == 0:
+        elif dpotrf((above - gram[i]).T, overwrite_a=True)[1] == 0:
             band.append(i)
     if band:
         values[band] = batch_opnorm(a[band])
-    return values
+    return values, bool(certified.all())
 
 
 def batch_kyfan(images, kappa: int, zeta: float = 1.0) -> np.ndarray:

@@ -13,7 +13,7 @@ from numpy.testing import assert_array_equal
 from scipy import stats
 
 from invartest import experiments
-from invartest.engine import RandTestConfig, exact_level, run_randomization_test
+from invartest.engine import RandTestConfig, decide, exact_level, run_randomization_test
 from invartest.experiments import (
     CSV_HEADER,
     SCENARIOS,
@@ -27,10 +27,10 @@ from invartest.experiments import (
     two_sample_config,
     two_sample_t_test,
 )
-from invartest.groups import GroupAction
+from invartest.groups import GroupAction, _column_sphere_images
 from invartest.noise import NoiseSpec, sample_noise
 from invartest.numerics import RngStream
-from invartest.statistics import make_statistic
+from invartest.statistics import batch_opnorm, make_statistic
 
 
 class TestConfigFactories:
@@ -230,6 +230,10 @@ class TestScenarioConfigValidation:
                 "two_sample", 10, 1, 10, NoiseSpec("iid_normal", 10, 1),
                 (0.0,), ("t_test",), 0.05, 10, 1,
             )
+
+    def test_noise_spec_required(self):
+        with pytest.raises(ValueError, match="noise spec is required"):
+            dataclasses.replace(lowrank_config(3), noise=None)
 
     def test_k_above_K_rejected(self):
         # alpha = 0.01 < 1/20 gives k = 20 > K = 19: a test that never rejects
@@ -439,10 +443,12 @@ class TestRunners:
         ("two_sample", dict(n=3, n2=3, K=99)),
         ("two_sample", dict(n=4, n2=4, K=99)),
         ("lowrank", dict()),
+        ("lowrank", dict(n=32, p=128)),
+        ("lowrank", dict(n=128, p=32)),
         ("regression", dict(n=4, p=2, K=99, alpha=0.5)),
         ("regression", dict(n=6, p=3, K=39, alpha=0.5)),
     ], ids=["sparse_vector", "heavy_tail", "two_sample_n3", "two_sample_n4", "lowrank",
-            "regression_n4", "regression_n6"])
+            "lowrank_wide", "lowrank_tall", "regression_n4", "regression_n6"])
     def test_unit_is_the_engine_test(self, monkeypatch, scenario, kwargs):
         # each unit's rejections, read from a one-unit chunk, against the
         # generic engine on the unit's own streams; the lowrank t0, seen
@@ -474,6 +480,37 @@ class TestRunners:
                 assert counts[m] == out.reject, (u, meth.label)
                 decisions.append(out.reject)
         assert any(decisions) and not all(decisions)
+
+    # grid points where the raw-draw tier runs and misses; with two or three
+    # columns (or rows) the Gram row sums are nearly tight, so images the
+    # tier misses may lie at or above t0. The spy draws all K values.
+    @pytest.mark.parametrize("shape, grid", [
+        ((50, 2), (0.0, 1.0, 2.0)), ((2, 50), (0.0, 1.0, 2.0)), ((8, 3), (1.0, 2.0, 3.0)),
+        ((50, 50), (0.0, 4.0)),
+    ], ids=["tall", "wide", "small", "square"])
+    def test_lowrank_orbit_values_lie_on_the_side_of_the_formed_images(
+            self, monkeypatch, shape, grid):
+        cfg = dataclasses.replace(lowrank_config(8, n=shape[0], p=shape[1], replicates=12,
+                                                 K=99), grid=grid)
+        seen = []
+
+        def spy(t0, orbit, K, k):
+            values = np.concatenate([orbit(b) for b in (1, 2, 4, 8, 16, 32, 36)])
+            seen.append((t0, values))
+            return decide(t0, values, k)
+
+        monkeypatch.setattr(experiments, "decide_stopping", spy)
+        sides = []
+        for u in range(len(cfg.grid) * cfg.replicates):
+            experiments._chunk(cfg, u, u + 1)
+            stream = RngStream(cfg.seed, u)
+            x = _engine_tests(cfg, cfg.grid[u // cfg.replicates], stream.child(0).generator())
+            images = _column_sphere_images(x[cfg.methods[0]][0], 99, stream.child(1).generator())
+            t0, values = seen[-1]
+            ref = batch_opnorm(images) < t0
+            assert_array_equal(values < t0, ref, err_msg=f"unit {u}")
+            sides += list(ref)
+        assert any(sides) and not all(sides)
 
     def test_two_sample_t_test_unit_is_the_public_test(self):
         # each unit's t_test decision, read from a one-unit chunk, against

@@ -42,6 +42,15 @@ GOLDEN_CONFIGS = {
         grid=(0.0, 1.0, 2.0, 3.0)),
     "regression": lambda: replace(
         exp.regression_config(3105, replicates=100), grid=(0.0, 0.5, 1.0, 1.5)),
+    # far grids, where lowrank certifies images from the Gram of their raw
+    # draw and scales only those that certificate misses; the digests were
+    # recorded on the code that formed every image
+    "lowrank_far": lambda: replace(
+        exp.lowrank_config(3113, replicates=40), grid=(0.0, 4.0, 12.0, 40.0)),
+    "lowrank_far_wide": lambda: replace(
+        exp.lowrank_config(3114, n=32, p=128, replicates=40), grid=(0.0, 5.0, 6.0, 40.0)),
+    "lowrank_far_tall": lambda: replace(
+        exp.lowrank_config(3115, n=128, p=32, replicates=40), grid=(0.0, 1.5, 2.5, 40.0)),
 }
 
 # sha256 of the CSV; for regression, of the data rows only (header included)
@@ -52,6 +61,9 @@ GOLDEN_SHA256 = {
     "lowrank": "a0705e64325f79986c524422d37e0134161e4be7196509bc115a7d603b5cdbc6",
     "lowrank_K99": "2b258460c4b0c919e83ecb58044fc30ef26117b0631e0af31225034bc73bf287",
     "regression": "e9cb35b5098234f7e51b23d3538c731fc47bcb3c6e805982b09c8698f618966b",
+    "lowrank_far": "6d0bd7e75578249d5df536075db3929411a0a99e346c1c9f6c43825bd0b52d58",
+    "lowrank_far_wide": "93e31a4ff963f9edb96761cac154893de27cd6e57c04d767c6c5ac108cbf96d3",
+    "lowrank_far_tall": "b587bfe249a30ef3d33d92ccb5c3a9b160d08e8f954bd7010c35e794b90ef905",
 }
 
 # Monte Carlo means summed by BLAS, so pinned to a relative tolerance

@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 
-from invartest.groups import KINDS, GroupAction, _orthonormal_frames
+from invartest.groups import (
+    KINDS,
+    GroupAction,
+    _column_gaussians,
+    _column_sphere_images,
+    _orthonormal_frames,
+    _scale_columns,
+)
 from invartest.numerics import RngStream, qr_orthonormalize
 
 
@@ -402,6 +409,25 @@ class TestRandomizeWeights:
     def test_size_checked(self, kind):
         with pytest.raises(ValueError, match="of size 5 cannot act on 3 rows"):
             GroupAction(kind, n=5).randomize_weights(np.ones((2, 3)), 4, RngStream(1))
+
+
+class TestColumnSphereImages:
+    # the lowrank scenario scales only the slices its raw-draw certificate
+    # misses, so each scaled slice must have the bits of the whole draw's
+    @pytest.mark.parametrize("shape", [(5,), (1, 1), (50, 50), (32, 128), (128, 32), (3, 7)])
+    def test_scaling_any_subset_gives_the_bits_of_the_whole(self, shape):
+        gen = RngStream(41040, sum(shape)).generator()
+        x = gen.standard_normal(shape)
+        if len(shape) == 2 and shape[1] > 2:
+            x[:, 1] = 0.0  # a zero column
+        whole = _column_sphere_images(x, 19, RngStream(41041).generator())
+        cols = x[:, None] if x.ndim == 1 else x
+        z = _column_gaussians(cols.shape, 19, RngStream(41041).generator())
+        radii = np.linalg.norm(cols, axis=0)
+        subsets = [[k] for k in range(19)] + [gen.permutation(19)[:m] for m in (2, 5, 18)]
+        for rows in subsets:
+            part = _scale_columns(z[rows], radii).reshape(len(rows), *shape)
+            assert part.tobytes() == whole[rows].tobytes()
 
 
 class TestRotatePerColumnVector:
