@@ -14,11 +14,11 @@ are summed as integers, so any chunking of the units, and hence any worker
 count, gives the same output.  A lowrank method stops drawing once its
 decision is settled and reads only a prefix of its own child(1 + i); the
 values it does read are those of the full draw, so the output is unchanged.
-Nor does it form every image it draws: once an exact block is certified
-below t0 by its Gram row sums, the images of the next blocks are certified
-from the Gram of their raw Gaussian draw (``_raw_below``), and only those
-that tier misses are scaled into images. Each decision is still the one
-``batch_opnorm`` gives on the images ``groups._column_sphere_images`` forms.
+Nor does it form every image it draws: ``statistics.sphere_opnorm_against``
+decides each block from the Gram of its raw Gaussian draw, by row sums, then
+a Cholesky factorisation, and forms only the images in a near-tie with t0.
+Each decision is still the one ``batch_opnorm`` gives on the images
+``groups._column_sphere_images`` forms.
 A chunk derives all its units' streams in one pass
 (``numerics.stream_generators``); each generator is bit-identical to
 RngStream(seed, u).child(c).generator(), which
@@ -43,7 +43,7 @@ from itertools import repeat
 import numpy as np
 
 from .engine import decide, decide_stopping, order_index
-from .groups import _column_gaussians, _gaussian_rows, _permutations, _scale_columns, _signs
+from .groups import _column_gaussians, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, heteroskedastic_mean_abs, sample_noise
 from .numerics import (
     RngStream,
@@ -53,12 +53,11 @@ from .numerics import (
     student_t_quantile,
 )
 from .statistics import (
-    _SAFE,
     _U,
-    _opnorm_against,
-    _shifts,
     batch_ols_linf,
     batch_opnorm,
+    opnorm_shifts,
+    sphere_opnorm_against,
 )
 from .theory import (
     ConsistencyInputs,
@@ -173,8 +172,14 @@ class ScenarioConfig:
                 raise ValueError(f"method {meth.label!r} needs a _t<df> suffix here")
             if not row.needs_df and meth.df is not None:
                 raise ValueError(f"method {meth.label!r}: df suffix not valid here")
-        if self.scenario == "two_sample" and self.n2 is None:
-            raise ValueError("two_sample scenario needs n2")
+        if self.scenario == "two_sample":
+            if self.n2 is None:
+                raise ValueError("two_sample scenario needs n2")
+            if self.p != 1:
+                raise ValueError(
+                    f"two_sample draws one column and does not read p, got p = {self.p}")
+        elif self.n2 is not None:
+            raise ValueError(f"{self.scenario} does not read n2, got n2 = {self.n2}")
         if any(meth.kind == "t_test" for meth in parsed):
             for name in ("n", "n2"):
                 if getattr(self, name) < 2:
@@ -556,91 +561,22 @@ def _lowrank_setup(cfg: ScenarioConfig) -> np.ndarray:
     return math.sqrt(cfg.n / 2.0) * np.outer(u, v)
 
 
-def _raw_below(z: np.ndarray, radii: np.ndarray, bound: float) -> np.ndarray:
-    """Which images ``_scale_columns(z, radii)`` of a raw (K, n, p) normal
-    draw z are certified to have an ``opnorm`` value (``batch_opnorm``)
-    below t0, without forming them. ``bound`` is t0^2 (1 - delta), as
-    ``opnorm_against`` takes it for n x p images, with t0 in [2^-450,
-    2^450]; ``radii`` are the column norms of the matrix X of value t0.
-
-    The image A has columns c_j z_j / ||z_j|| (c = radii). Let B = Z S with
-    S = diag(s), s_j = c_j / ||z_j|| exactly, sigma_X the largest singular
-    value of X, m = min(n, p) and u = 2^-53. An image is certified when the
-    largest row sum r below, a bound on the Gram of B's smaller side, is
-    below ``bound``; a block with a rounded ||z_j||^2 outside [2^-450,
-    2^450] certifies nothing. Every rounding, to first order:
-
-    - n >= p: B^T B = S (Z^T Z) S. With H = fl(Z^T Z), d_j = H_jj is
-      ||z_j||^2 within gamma_n, so s_j = c_j / sqrt(d_j) is within (n/2 +
-      2) u, and row j of S |H| S, s_j (|H| s)_j, rounds by (n + p + 5) u
-      more. H is off by gamma_n |Z|^T |Z|, whose rows scaled by S are those
-      of |B|^T |B|, each summing to at most m sigma_B^2, so sigma_B^2 (1 -
-      n p u) <= r (1 + (n + p + 5) u), as in ``opnorm_against``.
-    - n < p: d_j = sum_i z_ij^2 as above, Y = fl(Z diag(s)) is B within
-      (n/2 + 3) u entrywise, and r is the largest row sum of |fl(Y Y^T)|:
-      sigma_Y^2 (1 - n p u) <= r (1 + n u), and sigma_B^2 <= sigma_Y^2 (1 +
-      sqrt(m) (n + 6) u), as ||B - Y||_2 <= ||B - Y||_F <= (n/2 + 3) u
-      ||Y||_F <= (n/2 + 3) u sqrt(m) sigma_Y.
-    - A is B with each entry off by at most the column norm's rounding
-      (gamma_n / 2 + u relative), a division and a product, so in the same
-      way sigma_A^2 <= sigma_B^2 (1 + sqrt(m) (n + 6) u).
-    - ``batch_opnorm`` gives s_A^2 <= sigma_A^2 (1 + (n p + m^2 + 2) u), and
-      the bound t0^2 (1 - delta) rounds three times.
-
-    Chained, r < bound gives s_A^2 < t0^2 once delta exceeds (2 n p + m^2 +
-    2 sqrt(m) (n + 6) + n + p + 10) u <= 4 (n + p + 1)^2 u, which delta =
-    32 (n + p + 1)^2 u is 8 times. No column norm exceeds sigma_X, so each
-    c_j is at most about t0, no quantity exceeds p 2^900, and an underflow
-    loses at most 2^-1074, which the factors it meets later (s_j at most
-    about 2^225 t0) grow to at most 2^-399 (n + p)^2 t0^2, far below u t0^2.
-    """
-    n, p = z.shape[1:]
-    if n >= p:
-        h = z.mT @ z
-        d = h.diagonal(axis1=1, axis2=2)
-    else:
-        d = np.einsum("kij,kij->kj", z, z)
-    if not (d.min() >= 1.0 / _SAFE and d.max() <= _SAFE):
-        return np.zeros(len(z), dtype=bool)
-    s = radii / np.sqrt(d)
-    if n >= p:
-        rows = s * (np.abs(h) @ s[..., None])[..., 0]
-    else:
-        y = z * s[:, None, :]
-        rows = np.abs(y @ y.mT).sum(axis=2)
-    return rows.max(axis=1) < bound
-
-
 def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, methods):
-    """Each orbit block is drawn raw (``_column_gaussians``). After an
-    exact block whose images the Gram row sums of ``opnorm_against`` all
-    certified below t0, the next block is certified from its raw draw
-    (``_raw_below``); only the images that tier misses are scaled and go
-    through ``opnorm_against``, and a miss turns the tier off until an
-    exact block is certified whole again. Either way a value below t0 is
-    one whose image, as ``_column_sphere_images`` gives it, has a
-    ``batch_opnorm`` value below t0."""
+    """Each orbit block is drawn raw (``_column_gaussians``) and decided by
+    ``sphere_opnorm_against``, which forms only the images it cannot certify
+    from the Gram of their draw. A value below t0 is one whose image, as
+    ``_column_sphere_images`` gives it, has a ``batch_opnorm`` value below
+    t0."""
     x = sample_noise(cfg.noise, noise) + tau * base
     t0 = float(batch_opnorm(x[None])[0])  # the opnorm statistic, as the engine's t0
     radii = np.linalg.norm(x, axis=0)  # the column norms every image takes
-    shifts = _shifts(t0, cfg.n, cfg.p)
+    shifts = opnorm_shifts(t0, cfg.n, cfg.p)
     for meth, gen in methods:
-        raw = False
-
-        def orbit(b):
-            # row blocks of the draw are prefixes of one draw of all K, so
-            # stopping early leaves every drawn value as it was;
-            # decide_stopping counts only which side of t0 each value lies on
-            nonlocal raw
-            z = _column_gaussians(x.shape, b, gen)
-            if not raw:
-                values, raw = _opnorm_against(_scale_columns(z, radii), t0, shifts)
-                return values
-            values = np.full(b, -np.inf)
-            miss = ~_raw_below(z, radii, shifts[0])
-            if miss.any():
-                values[miss], raw = _opnorm_against(_scale_columns(z[miss], radii), t0, shifts)
-            return values
+        # row blocks of the draw are prefixes of one draw of all K, so
+        # stopping early leaves every drawn value as it was;
+        # decide_stopping counts only which side of t0 each value lies on
+        def orbit(b, gen=gen):
+            return sphere_opnorm_against(_column_gaussians(x.shape, b, gen), radii, t0, shifts)
         yield decide_stopping(t0, orbit, meth.K, meth.k)
 
 

@@ -58,7 +58,8 @@ class GroupAction:
 
     ``n`` is the number of rows for the discrete kinds and for
     rotate_per_column (whose rotations live on R^n); ``p`` is the ambient
-    dimension for rotate_full.
+    dimension for rotate_full, and the number of columns a rotate_per_column
+    acts on (None: one column, as a vector is).
     """
 
     kind: str
@@ -73,6 +74,8 @@ class GroupAction:
                 raise ValueError(f"{self.kind} needs n >= 1")
         if self.kind == "rotate_full" and (self.p is None or self.p < 1):
             raise ValueError("rotate_full needs p >= 1")
+        if self.kind == "rotate_per_column" and self.p is not None and self.p < 1:
+            raise ValueError(f"rotate_per_column needs p >= 1 columns, got p = {self.p}")
 
     def randomize(
         self, x: np.ndarray, rng: RngStream | np.random.Generator

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg.lapack import dpotrf
 
+from .groups import _scale_columns
 from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
 
 __all__ = [
@@ -27,7 +28,8 @@ __all__ = [
     "TestStatistic",
     "weighted_rows",
     "batch_opnorm",
-    "opnorm_against",
+    "opnorm_shifts",
+    "sphere_opnorm_against",
     "check_psi_subadditive",
     "make_statistic",
     "shipped_statistics",
@@ -163,75 +165,14 @@ def batch_opnorm(images) -> np.ndarray:
 
 
 _U = 2.0 ** -53  # unit roundoff of a double
-_SAFE = 2.0 ** 450  # t0 within [1/_SAFE, _SAFE], the Gram diagonal below _SAFE^2
+_SAFE = 2.0 ** 450  # t0 and the squared column norms of a draw within [1/_SAFE, _SAFE]
 
 
-def opnorm_against(images, t0: float) -> np.ndarray:
-    """The largest singular value of each slice of ``images`` compared
-    against t0: -inf where the ``opnorm`` statistic's value
-    (``batch_opnorm``) is below t0, +inf where it is not, and that value
-    itself in a near-tie. So ``values < t0`` is ``batch_opnorm(images) <
-    t0``, image by image.
-
-    For an n x p image A, let G be the rounded Gram of its smaller side,
-    m x m with m = min(n, p): fl(A^T A) when n >= p, else fl(A A^T). Three
-    tiers decide, cheapest first. If the largest absolute row sum of G is
-    below t0^2 (1 - delta), the value is below t0 (Gershgorin; Golub & Van
-    Loan, Matrix Computations, 7.2.1). Else if a Cholesky factorisation
-    (``dpotrf``) of t0^2 (1 - delta) I - G succeeds, the value is below t0;
-    else if one of t0^2 (1 + delta) I - G fails, it is not. Only the images
-    left between the two take ``batch_opnorm``, on their own stack, which
-    gives each the bits it has in any stack.
-
-    Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), sigma the
-    exact largest singular value of A (and of A^T) and s the value of
-    ``batch_opnorm``. Every rounding:
-
-    - Gram: each entry sums max(n, p) products, so G is off by at most
-      gamma_max(n, p) |A|^T |A| (or |A| |A|^T) entrywise, in any summation
-      order, and its 2-norm error is at most gamma_max(n, p) ||A||_F^2 <=
-      n p u sigma^2 to first order (||A||_F^2 <= m sigma^2).
-    - Row sums: sigma^2 is at most ||A^T A||_inf, the largest absolute row
-      sum, as it bounds every eigenvalue. A row of |A|^T |A| sums to at
-      most m sigma^2 (Cauchy-Schwarz: |a_j|^T (|A| 1) <= sigma sqrt(m)
-      ||A||_F), so by the Gram bound above ||G||_inf, G symmetric or not,
-      is at least sigma^2 - n p u sigma^2; and a sum of m non-negative
-      terms rounds by at most gamma_m relative. So sigma^2 (1 - n p u) <=
-      r (1 + m u) to first order, r the largest computed row sum.
-    - Shift: t0^2 (1 -+ delta) takes three roundings (gamma_3 relative) and
-      the diagonal subtraction one more, at most u (t0^2 + ||G||_2).
-    - Cholesky of the m x m M: success certifies that M + dM is positive
-      definite with ||dM||_2 <= m gamma_{m+1} ||M||_2 / (1 - m gamma_{m+1})
-      (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-      Thm 10.3); failure certifies lambda_min(M) <= the same bound, by the
-      contrapositive of Demmel's condition (Thm 10.7).
-    - ``batch_opnorm``: the power-of-two scaling is exact; its own Gram of
-      the smaller side is off by at most n p u sigma^2, as above;
-      ``eigvalsh`` is backward stable, its top eigenvalue within
-      c(m) u ||G||_2 of the rounded Gram's by Weyl's inequality, with
-      LAPACK's modest c(m), taken here as m^2; and the square root rounds
-      once. So |s^2 - sigma^2| <= (n p + m^2 + 2) u sigma^2 to first order.
-
-    Chained, a row sum below t0^2 (1 - delta) gives s^2 < t0^2 once delta
-    exceeds (2 n p + m^2 + m + 5) u, a success at 1 - delta gives s^2 <
-    t0^2, and a failure at 1 + delta gives s^2 >= t0^2, once delta exceeds
-    the first-order sum (2 n p + 2 m (m + 1) + m^2 + 7) u <= 2 (n + p + 1)^2
-    u. The helper takes delta = 32 (n + p + 1)^2 u, 16 times that, 3.6e-11
-    at 50x50. The second-order terms stay below the first-order ones while
-    delta < 1e-3, that is n + p < 5e5. With t0 in [2^-450, 2^450] and the
-    Gram diagonal at most 2^900, nothing overflows (a row sum is at most m
-    2^900) and an underflow costs at most 2^-1074 per operation, below
-    2^-121 u t0^2, which the slack in delta absorbs. Any other t0, zero and
-    negative ones included, or Gram, takes ``batch_opnorm`` for every image.
-    """
-    a = _stack(images, as_matrix, "A")
-    return _opnorm_against(a, t0, _shifts(t0, *a.shape[1:]))[0]
-
-
-def _shifts(t0: float, n: int, p: int):
-    """The constants ``opnorm_against`` compares n x p images with, for one
-    t0: the row-sum bound t0^2 (1 - delta) and the shifted identities
-    t0^2 (1 -+ delta) I; None for a t0 outside [1/_SAFE, _SAFE]."""
+def opnorm_shifts(t0: float, n: int, p: int):
+    """The constants ``sphere_opnorm_against`` compares n x p images with,
+    for one t0: the row-sum bound t0^2 (1 - delta) and the shifted
+    identities t0^2 (1 -+ delta) I of size min(n, p); None for a t0 outside
+    [1/_SAFE, _SAFE]."""
     if not 1.0 / _SAFE <= t0 <= _SAFE:
         return None
     delta = 32.0 * (n + p + 1) ** 2 * _U
@@ -239,29 +180,136 @@ def _shifts(t0: float, n: int, p: int):
     return t0 * t0 * (1.0 - delta), t0 * t0 * (1.0 - delta) * eye, t0 * t0 * (1.0 + delta) * eye
 
 
-def _opnorm_against(a: np.ndarray, t0: float, shifts) -> tuple[np.ndarray, bool]:
-    """``opnorm_against`` on a (count, n, p) float stack, with the
-    ``_shifts(t0, n, p)`` computed once by the caller; and whether the row
-    sums certified every image below t0."""
-    count, n, p = a.shape
-    with np.errstate(over="ignore"):  # an overflowing Gram takes batch_opnorm
-        gram = a @ a.mT if n < p else a.mT @ a
-    if shifts is None or not gram.diagonal(axis1=1, axis2=2).max() <= _SAFE * _SAFE:
-        return batch_opnorm(a), False
+def sphere_opnorm_against(z: np.ndarray, radii: np.ndarray, t0: float,
+                          shifts) -> np.ndarray:
+    """The ``opnorm`` value of each image ``groups._scale_columns(z, radii)``
+    of a raw (K, n, p) normal draw z compared against t0: -inf where that
+    value (``batch_opnorm``) is below t0, +inf where it is not, and the value
+    itself in a near-tie. So ``values < t0`` is ``batch_opnorm(
+    _scale_columns(z, radii)) < t0``, image by image, and only the near-tie
+    images are formed. ``radii`` are the p column norms of the matrix the
+    images rotate, whose ``opnorm`` value is t0 in the power study, and
+    ``shifts`` is ``opnorm_shifts(t0, n, p)``, built once per t0. z is left
+    as it is.
+
+    The image A has columns c_j z_j / ||z_j|| (c = radii). One Gram per
+    image, of the smaller side, is read from the raw draw. For n >= p it is
+    S H S with H = fl(Z^T Z), d_j = H_jj and s_j = c_j / sqrt(d_j); for
+    n < p it is fl(Y Y^T) with d_j = sum_i z_ij^2 and Y = fl(Z S). Call it
+    G, m x m with m = min(n, p). Three tiers decide, cheapest first:
+
+    - Row sums: if the largest absolute row sum of G is below t0^2 (1 -
+      delta), the value is below t0 (Gershgorin; Golub & Van Loan, Matrix
+      Computations, 7.2.1). For n >= p the row j is s_j (|H| s)_j, so S H S
+      is never formed for an image this tier decides.
+    - Cholesky: the images left form G in one step. If ``dpotrf`` factors
+      t0^2 (1 - delta) I - G, the value is below t0; else if it fails on
+      t0^2 (1 + delta) I - G, it is not.
+    - Band: the images left between the two are formed and take
+      ``batch_opnorm``, on their own stack, which gives each the bits it has
+      in any stack.
+
+    A t0 outside [2^-450, 2^450], a d_j outside that range or a radius above
+    2 t0 sends the whole block to ``batch_opnorm`` on the formed images. In
+    the power study no radius exceeds t0 (1 + 1e-12), as a column norm is
+    at most the largest singular value.
+
+    Why delta suffices. Let u = 2^-53, gamma_k = k u / (1 - k u), B = Z S
+    with exact s_j = c_j / ||z_j||, sigma_M the exact largest singular value
+    of a matrix M, and s the value of ``batch_opnorm`` on A. To first order
+    in u:
+
+    - Scales: d_j is ||z_j||^2 within gamma_n in any summation order, so
+      the computed s_j is within (n/2 + 2) u of c_j / ||z_j||, relative.
+    - Gram, n >= p: H is Z^T Z + E with |E| <= gamma_n |Z|^T |Z|
+      entrywise. The rows of S |Z|^T |Z| S are those of |B|^T |B|, and a row
+      of |B|^T |B| (or of |B| |B|^T) sums to at most m sigma_B^2
+      (Cauchy-Schwarz: |b_j|^T (|B| 1) <= sigma_B sqrt(m) ||B||_F, and
+      ||B||_F^2 <= m sigma_B^2), so ||S E S||_2 <= n p u sigma_B^2. The
+      formed G is B^T B with the scales' error on both sides, S E S, and
+      two products per entry: ||G - B^T B||_2 <= (n p + n + 2 m + 4) u
+      sigma_B^2.
+    - Gram, n < p: Y is B within (n/2 + 3) u entrywise, so ||B - Y||_2 <=
+      ||B - Y||_F <= (n/2 + 3) u sqrt(m) sigma_B, and G is Y Y^T within
+      gamma_p |Y| |Y|^T, whose rows sum to at most n p u sigma_Y^2: ||G -
+      B B^T||_2 <= (n p + (n + 6) sqrt(m)) u sigma_B^2.
+    - Row sums: sigma_B^2 is at most the largest absolute row sum of B^T B
+      (or of B B^T), as that bounds every eigenvalue. For n >= p a computed
+      row s_j (|H| s)_j is off by the scales' error on both sides, (n + 4)
+      u, and its own p + 1 roundings, and S |E| S adds at most n p u
+      sigma_B^2 to it, so sigma_B^2 (1 - n p u) <= r (1 + (n + p + 5) u), r
+      the largest computed row sum. For n < p a row of |G| rounds by n u,
+      so sigma_Y^2 (1 - n p u) <= r (1 + n u), and sigma_B^2 <= sigma_Y^2
+      (1 + (n + 6) sqrt(m) u).
+    - Shift: t0^2 (1 -+ delta) takes three roundings (gamma_3 relative) and
+      the diagonal subtraction one more, at most u (t0^2 + ||G||_2).
+    - Cholesky of the m x m M: success certifies that M + dM is positive
+      definite with ||dM||_2 <= m gamma_{m+1} ||M||_2 / (1 - m gamma_{m+1})
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+      Thm 10.3); failure certifies lambda_min(M) <= the same bound, by the
+      contrapositive of Demmel's condition (Thm 10.7). ``dpotrf`` reads one
+      triangle of M, a symmetric matrix with the same entrywise bounds.
+    - Image: A is B with each entry off by at most the column norm's
+      rounding (gamma_n / 2 + u relative), a division and a product, so
+      |sigma_A^2 - sigma_B^2| <= (n + 6) sqrt(m) u sigma_B^2, as for Y.
+    - ``batch_opnorm``: the power-of-two scaling is exact; its own Gram of
+      the smaller side is off by at most n p u sigma_A^2, as above;
+      ``eigvalsh`` is backward stable, its top eigenvalue within c(m) u
+      ||G||_2 of the rounded Gram's by Weyl's inequality, with LAPACK's
+      modest c(m), taken here as m^2; and the square root rounds once. So
+      |s^2 - sigma_A^2| <= (n p + m^2 + 2) u sigma_A^2.
+
+    Chained, a row sum below t0^2 (1 - delta) or a success at 1 - delta
+    gives s^2 < t0^2, and a failure at 1 + delta gives s^2 >= t0^2, once
+    delta exceeds the largest first-order sum, (2 n p + 2 m^2 + 3 m + n + p
+    + 2 (n + 6) sqrt(m) + 12) u <= 4 (n + p + 1)^2 u. delta = 32 (n + p +
+    1)^2 u is 8 times that, 3.6e-11 at 50x50. The second-order terms stay
+    below the first-order ones while delta < 1e-3, that is n + p < 5e5.
+
+    Range. With t0 in [2^-450, 2^450], every d_j in it and every c_j at
+    most 2 t0, s_j is at most 2^226 t0, |H_jk| s_j at most c_j sqrt(d_k),
+    an entry of G at most 4 t0^2 <= 2^902 and a row sum at most m 2^902, so
+    nothing overflows. An operation that underflows loses at most 2^-1074;
+    the scales grow that to at most 2^-622 n t0^2, and in G, its row sums
+    and the factorisation, where t0^2 >= 2^-900, it stays below 2^-174 t0^2
+    per operation, which the slack in delta absorbs.
+    """
+    n, p = z.shape[1:]
+    if shifts is None or not radii.max() <= 2.0 * t0:
+        return batch_opnorm(_scale_columns(z.copy(), radii))
+    if n >= p:
+        h = z.mT @ z
+        d = h.diagonal(axis1=1, axis2=2)
+    else:
+        d = np.einsum("kij,kij->kj", z, z)
+    if not (d.min() >= 1.0 / _SAFE and d.max() <= _SAFE):
+        return batch_opnorm(_scale_columns(z.copy(), radii))
+    s = radii / np.sqrt(d)
+    if n >= p:
+        rows = s * (np.abs(h) @ s[..., None])[..., 0]
+    else:
+        y = z * s[:, None, :]
+        g = y @ y.mT
+        rows = np.abs(g).sum(axis=2)
     bound, below, above = shifts
-    values = np.full(count, np.inf)
-    certified = np.abs(gram).sum(axis=2).max(axis=1) < bound
-    values[certified] = -np.inf
+    values = np.full(len(z), -np.inf)
+    left = ~(rows.max(axis=1) < bound)
+    if not left.any():
+        return values
+    left = np.flatnonzero(left)
+    grams = h[left] * s[left, :, None] * s[left, None, :] if n >= p else g[left]
     band = []
-    for i in np.flatnonzero(~certified):
+    for i, gram in zip(left, grams):
         # the transpose is Fortran-ordered, so dpotrf works in place
-        if dpotrf((below - gram[i]).T, overwrite_a=True)[1] == 0:
-            values[i] = -np.inf
-        elif dpotrf((above - gram[i]).T, overwrite_a=True)[1] == 0:
+        if dpotrf((below - gram).T, overwrite_a=True)[1] == 0:
+            continue
+        if dpotrf((above - gram).T, overwrite_a=True)[1] == 0:
             band.append(i)
+        else:
+            values[i] = np.inf
     if band:
-        values[band] = batch_opnorm(a[band])
-    return values, bool(certified.all())
+        values[band] = batch_opnorm(_scale_columns(z[band], radii))
+    return values
 
 
 def batch_kyfan(images, kappa: int, zeta: float = 1.0) -> np.ndarray:

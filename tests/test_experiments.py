@@ -207,6 +207,24 @@ class TestScenarioConfigValidation:
                 (0.0,), ("t_test",), 0.05, 10, 1,
             )
 
+    @pytest.mark.parametrize("scenario, n, p, noise, methods", [
+        ("sparse_vector", 8, 5, NoiseSpec("iid_normal", 8, 5), ("signflip_K19",)),
+        ("heavy_tail", 8, 5, NoiseSpec("iid_student", 8, 5, df=3.0), ("signflip_K19_t3",)),
+        ("lowrank", 8, 5, NoiseSpec("iid_normal", 8, 5), ("rotation_K19",)),
+        ("regression", 8, 2, NoiseSpec("heteroskedastic_sign_symmetric", 8, 1),
+         ("signflip_K19",)),
+    ])
+    def test_n2_only_for_two_sample(self, scenario, n, p, noise, methods):
+        with pytest.raises(ValueError, match=f"^{scenario} does not read n2, got n2 = 7$"):
+            ScenarioConfig(scenario, n, p, 7, noise, (0.0,), methods, 0.05, 10, 1)
+        ScenarioConfig(scenario, n, p, None, noise, (0.0,), methods, 0.05, 10, 1)
+
+    def test_two_sample_reads_no_p(self):
+        with pytest.raises(ValueError, match="^two_sample draws one column and does not read p, "
+                                             "got p = 9$"):
+            dataclasses.replace(two_sample_config(1, grid_points=2, replicates=5), p=9)
+        assert two_sample_config(1, grid_points=2, replicates=5).p == 1
+
     @pytest.mark.parametrize("n, n2, field", [(1, 5, "n = 1"), (5, 1, "n2 = 1")])
     def test_t_test_needs_two_observations_per_sample(self, n, n2, field):
         with pytest.raises(ValueError, match=f"got {field}$"):

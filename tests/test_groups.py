@@ -191,6 +191,14 @@ class TestGroupAction:
         with pytest.raises(ValueError):
             GroupAction("permute_rows", n=0)
 
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_per_column_rotations_need_a_column(self, p):
+        with pytest.raises(ValueError, match=f"needs p >= 1 columns, got p = {p}$"):
+            GroupAction("rotate_per_column", n=6, p=p)
+        # p = None still means one column: a vector
+        vector = GroupAction("rotate_per_column", n=6).randomize(np.ones(6), RngStream(1))
+        assert vector.shape == (6,)
+
     def test_randomize_matches_sample_apply_in_law(self, eager_images):
         # lazy sphere-image path vs eager matrix path: same distribution
         gen_a = RngStream(41019, 0).generator()

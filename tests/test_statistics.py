@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import invartest.statistics as statistics
-from invartest import experiments
 from invartest.groups import _scale_columns
 from invartest.numerics import RngStream
 from invartest.statistics import (
@@ -16,8 +15,9 @@ from invartest.statistics import (
     batch_opnorm,
     check_psi_subadditive,
     make_statistic,
-    opnorm_against,
+    opnorm_shifts,
     shipped_statistics,
+    sphere_opnorm_against,
     weighted_rows,
 )
 
@@ -415,20 +415,13 @@ class TestBatchOpnorm:
                 assert batch_opnorm(block).tobytes() == alone[start:start + size].tobytes()
 
 
-# derandomized, so that every run of the suite checks the same examples.
-# t0 sits on one image's batch_opnorm value or 1-4 ulps off it, where the
-# Cholesky certificate cannot decide and the batch_opnorm fallback has to.
-# spread pulls every column towards one shared sign vector and equal gives
-# the columns one norm: at spread 0 with equal norms an image has rank one
-# and entries of one magnitude, and the row sums of either Gram bound its
-# top eigenvalue with no room to spare.
-def _images(gen, K, n, p, spread, equal):
-    images = gen.standard_normal((K, n, p))
+def _draw(gen, K, n, p, spread):
+    """A (K, n, p) raw draw; spread pulls every column towards one shared
+    sign vector, so that at spread 0 every column is that vector."""
+    z = gen.standard_normal((K, n, p))
     if spread is not None:
-        images = gen.integers(0, 2, (K, n, 1)) * 2.0 - 1.0 + spread * images
-    if equal:
-        images /= np.linalg.norm(images, axis=1, keepdims=True)
-    return images
+        z = gen.integers(0, 2, (K, n, 1)) * 2.0 - 1.0 + spread * z
+    return z
 
 
 def _nudged(t0, ulps):
@@ -437,99 +430,148 @@ def _nudged(t0, ulps):
     return float(t0)
 
 
+def _against(z, radii, t0):
+    return sphere_opnorm_against(z, radii, t0, opnorm_shifts(t0, *z.shape[1:]))
+
+
+def _no_dpotrf(*args, **kwargs):
+    raise AssertionError("a far image took the Cholesky tier")
+
+
 _SPREADS = st.sampled_from([None, 1.0, 1e-3, 1e-9, 0.0])
 
 
+def _check_against(n, p, K, log_scale, far, zero_cols, pick, ulps, spread, equal, seed):
+    """Draw z and radii, put t0 on one image's value or up to ulps off it,
+    and check the certificate against batch_opnorm of the formed images."""
+    gen = np.random.default_rng(seed)
+    z = _draw(gen, K, n, p, spread)
+    radii = np.ones(p) if equal else gen.uniform(0.1, 10.0, p)
+    radii *= 10.0 ** log_scale * 2.0 ** far
+    radii[gen.permutation(p)[:min(zero_cols, p - 1)]] = 0.0
+    drawn = z.copy()
+    ref = batch_opnorm(_scale_columns(drawn.copy(), radii))
+    t0 = _nudged(ref[pick % K], ulps)
+    values = _against(z, radii, t0)
+    assert_array_equal(z, drawn)
+    assert_array_equal(values < t0, ref < t0)
+    near = np.isfinite(values)
+    assert values[near].tobytes() == ref[near].tobytes()
+    if ulps == 0:  # exactly on a value: only the band can say "not below"
+        assert values[pick % K] == ref[pick % K]
+
+
+def _check_tight(monkeypatch, n, p):
+    """Rank one with entries of one magnitude makes the row sums tight: at
+    t0 = the smallest value nothing is below, and past the slack the row
+    sums certify every image."""
+    signs = np.sign(RngStream(61005).generator().standard_normal((4, n, 1)))
+    z = np.repeat(signs, p, axis=2)
+    ref = batch_opnorm(_scale_columns(z.copy(), np.ones(p)))
+    t0 = float(ref.min())
+    assert not np.any(_against(z, np.ones(p), t0) < t0)
+    with monkeypatch.context() as patched:
+        patched.setattr(statistics, "dpotrf", _no_dpotrf)
+        t0 = float(ref.max()) * (1.0 + 1e-9)
+        assert_array_equal(_against(z, np.ones(p), t0), np.full(4, -np.inf))
+
+
+_GIVEN = dict(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
+              log_scale=st.floats(-3.0, 3.0), zero_cols=st.integers(0, 3),
+              pick=st.integers(0, 5), ulps=st.integers(-4, 4), spread=_SPREADS,
+              equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+
+
 class TestOpnormAgainst:
+    """The certificate on a raw draw z and the radii its images take may say
+    "below t0" or "not below" only where the formed image's batch_opnorm
+    value does, and gives that value bitwise in a near-tie. Derandomized,
+    so that every run of the suite checks the same examples, with t0 on one
+    image's value or up to 4 ulps off it, where only the band can decide.
+    Equal radii give the columns one norm, which at spread 0 makes an image
+    rank one with entries of one magnitude, and the row sums tight."""
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     # a wide image takes the Gram of its rows, a tall one that of its columns
-    @example(n=32, p=128, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0, spread=None,
-             equal=False, seed=51032)
-    @example(n=32, p=128, K=6, log_scale=1.5, zero_cols=0, pick=1, ulps=-1, spread=None,
-             equal=False, seed=51033)
-    @example(n=128, p=32, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0, spread=None,
-             equal=False, seed=51034)
-    @example(n=128, p=32, K=6, log_scale=-1.5, zero_cols=0, pick=1, ulps=1, spread=None,
-             equal=False, seed=51035)
+    @example(n=32, p=128, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0,
+             spread=None, equal=False, seed=51032)
+    @example(n=32, p=128, K=6, log_scale=1.5, zero_cols=0, pick=1, ulps=-1,
+             spread=None, equal=False, seed=51033)
+    @example(n=128, p=32, K=6, log_scale=0.0, zero_cols=2, pick=3, ulps=0,
+             spread=None, equal=False, seed=51034)
+    @example(n=128, p=32, K=6, log_scale=-1.5, zero_cols=0, pick=1, ulps=1,
+             spread=None, equal=False, seed=51035)
     # rank one with equal column norms: the row sums are tight
-    @example(n=50, p=50, K=4, log_scale=0.0, zero_cols=0, pick=2, ulps=1, spread=0.0,
-             equal=True, seed=51036)
-    @example(n=12, p=40, K=4, log_scale=2.0, zero_cols=1, pick=0, ulps=-4, spread=1e-9,
-             equal=True, seed=51037)
-    @given(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
-           log_scale=st.floats(-3.0, 3.0), zero_cols=st.integers(0, 3),
-           pick=st.integers(0, 5), ulps=st.integers(-4, 4), spread=_SPREADS,
-           equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_counts_below_t0_as_the_svd(self, n, p, K, log_scale, zero_cols, pick,
-                                         ulps, spread, equal, seed):
-        gen = np.random.default_rng(seed)
-        images = 10.0 ** log_scale * _images(gen, K, n, p, spread, equal)
-        images[:, :, gen.permutation(p)[:min(zero_cols, p - 1)]] = 0.0
-        ref = batch_opnorm(images)
-        t0 = _nudged(ref[pick % K], ulps)
-        values = opnorm_against(images, t0)
-        assert (values < t0).sum() == (ref < t0).sum()
-        assert_array_equal(values < t0, ref < t0)
-        near = np.isfinite(values)
-        assert values[near].tobytes() == ref[near].tobytes()
-        if ulps == 0:  # exactly on a value: only the fallback can say "not below"
-            assert values[pick % K] == ref[pick % K]
+    @example(n=50, p=50, K=4, log_scale=0.0, zero_cols=0, pick=2, ulps=1,
+             spread=0.0, equal=True, seed=51036)
+    @example(n=12, p=40, K=4, log_scale=2.0, zero_cols=1, pick=0, ulps=-4,
+             spread=1e-9, equal=True, seed=51037)
+    @given(**_GIVEN)
+    def test_counts_below_t0_as_the_svd(self, n, p, K, log_scale, zero_cols, pick, ulps,
+                                         spread, equal, seed):
+        _check_against(n, p, K, log_scale, 0, zero_cols, pick, ulps, spread, equal, seed)
 
     @pytest.mark.parametrize("shape", [(50, 50), (32, 128), (128, 32)])
     def test_far_images_are_certified_by_the_row_sums(self, monkeypatch, shape):
-        images = RngStream(51038).generator().standard_normal((5, *shape))
-        t0 = 10.0 * float(np.max(batch_opnorm(images)))
+        z = RngStream(51038).generator().standard_normal((5, *shape))
+        radii = RngStream(61004).generator().uniform(0.5, 2.0, shape[1])
+        t0 = 10.0 * float(np.max(batch_opnorm(_scale_columns(z.copy(), radii))))
+        monkeypatch.setattr(statistics, "dpotrf", _no_dpotrf)
+        assert_array_equal(_against(z, radii, t0), np.full(5, -np.inf))
 
-        def no_dpotrf(*args, **kwargs):
-            raise AssertionError("a far image took the Cholesky tier")
-
-        monkeypatch.setattr(statistics, "dpotrf", no_dpotrf)
-        values, whole = statistics._opnorm_against(images, t0, statistics._shifts(t0, *shape))
-        assert whole
-        assert_array_equal(values, np.full(5, -np.inf))
-
-    def test_a_near_image_leaves_the_row_sums_uncertified(self):
-        x = np.ones((6, 4))  # rank one, equal column norms: row sums = sigma^2
-        t0 = float(batch_opnorm(x[None])[0])
-        values, whole = statistics._opnorm_against(x[None], t0, statistics._shifts(t0, 6, 4))
-        assert not whole and not values[0] < t0
-        t0 *= 1.0 + 1e-9
-        values, whole = statistics._opnorm_against(x[None], t0, statistics._shifts(t0, 6, 4))
-        assert whole and values[0] < t0
+    def test_a_near_image_leaves_the_row_sums_uncertified(self, monkeypatch):
+        _check_tight(monkeypatch, 6, 4)
 
     def test_far_values_are_certified(self):
-        images = np.stack([np.diag([1.0, 0.5]), np.diag([3.0, 2.0])])
-        assert_array_equal(opnorm_against(images, 2.0), [-np.inf, np.inf])
+        # radii 3 and 2: the images diag(3, 2), of value 3, and one of value
+        # 3.38 whose second column leans on its first
+        z = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])])
+        assert_array_equal(_against(z, np.array([3.0, 2.0]), 3.2), [-np.inf, np.inf])
 
     @pytest.mark.parametrize("t0", [0.0, -1.0])
     def test_t0_at_or_below_zero_has_nothing_below(self, t0):
-        images = RngStream(51030).generator().standard_normal((4, 5, 3))
-        assert not np.any(opnorm_against(images, t0) < t0)
+        z = RngStream(51030).generator().standard_normal((4, 5, 3))
+        assert not np.any(_against(z, np.ones(3), t0) < t0)
 
     def test_all_zero_x(self):
-        # a zero x has t0 = 0 and zero images: none lies below t0, and all
-        # lie below any positive threshold
+        # a zero x has t0 = 0 and radii 0, so zero images: none lies below
+        # t0, and all lie below any positive threshold
         x = np.zeros((6, 4))
-        images = np.zeros((3, 6, 4))
+        z = RngStream(51039).generator().standard_normal((3, 6, 4))
         t0 = opnorm(x)
         assert t0 == 0.0
-        assert not np.any(opnorm_against(images, t0) < t0)
-        assert_array_equal(opnorm_against(images, 1.0), np.full(3, -np.inf))
+        radii = np.linalg.norm(x, axis=0)
+        assert not np.any(_against(z, radii, t0) < t0)
+        assert_array_equal(_against(z, radii, 1.0), np.full(3, -np.inf))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_out_of_range_scales_take_the_svd(self, scale):
-        images = scale * RngStream(51031).generator().standard_normal((3, 4, 4))
-        assert opnorm_against(images, scale).tobytes() == batch_opnorm(images).tobytes()
+        z = RngStream(51031).generator().standard_normal((3, 4, 4))
+        radii = np.full(4, scale)
+        formed = batch_opnorm(_scale_columns(z.copy(), radii))
+        assert _against(z, radii, scale).tobytes() == formed.tobytes()
+
+    # the squared column norms of the draw out of range, t0 and radii in it
+    @pytest.mark.parametrize("scale", [2.0 ** -440, 2.0 ** 440], ids=["2^-440", "2^440"])
+    def test_out_of_range_draws_take_the_svd(self, scale):
+        z = scale * RngStream(51031).generator().standard_normal((3, 4, 4))
+        radii = np.full(4, scale)
+        formed = batch_opnorm(_scale_columns(z.copy(), radii))
+        assert _against(z, radii, scale).tobytes() == formed.tobytes()
+
+    def test_a_radius_above_2_t0_takes_the_svd(self):
+        z = RngStream(51031).generator().standard_normal((3, 4, 4))
+        radii = np.ones(4)
+        formed = batch_opnorm(_scale_columns(z.copy(), radii))
+        assert _against(z, radii, 0.25).tobytes() == formed.tobytes()
 
 
 class TestRawBelow:
-    """The lowrank tier that certifies images from their raw Gaussian draw
-    may only say "below t0" where the formed image's batch_opnorm value
-    is. Like TestOpnormAgainst: derandomized, t0 on one image's value or up
-    to 4 ulps off it; spread pulls the columns towards one sign vector and
-    equal radii give them one norm, which at spread 0 makes the row sums
-    tight. far scales the radii near the ends of the range the tier runs
-    in."""
+    """The certificate decides each image from its raw Gaussian draw, so
+    radii near the ends of the range its tiers run in (far, 2^-440 or
+    2^440) must round no image to the wrong side of t0, and the row sums
+    must certify far images of the power study's shapes with no Cholesky
+    call and leave tight ones to the later tiers until past the slack."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @example(n=50, p=50, K=4, log_scale=0.0, far=0, zero_cols=0, pick=1, ulps=-1,
@@ -538,35 +580,18 @@ class TestRawBelow:
              spread=1e-9, equal=True, seed=61002)
     @example(n=128, p=32, K=6, log_scale=-3.0, far=-440, zero_cols=0, pick=2, ulps=4,
              spread=0.0, equal=False, seed=61003)
-    @given(n=st.integers(1, 96), p=st.integers(1, 96), K=st.integers(1, 6),
-           log_scale=st.floats(-3.0, 3.0), far=st.sampled_from([0, -440, 440]),
-           zero_cols=st.integers(0, 3), pick=st.integers(0, 5), ulps=st.integers(-4, 4),
-           spread=_SPREADS, equal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @given(far=st.sampled_from([0, -440, 440]), **_GIVEN)
     def test_certifies_no_image_at_or_above_t0(self, n, p, K, log_scale, far, zero_cols,
                                                pick, ulps, spread, equal, seed):
-        gen = np.random.default_rng(seed)
-        z = _images(gen, K, n, p, spread, equal=False)
-        radii = np.ones(p) if equal else gen.uniform(0.1, 10.0, p)
-        radii *= 10.0 ** log_scale * 2.0 ** far
-        radii[gen.permutation(p)[:min(zero_cols, p - 1)]] = 0.0
-        ref = batch_opnorm(_scale_columns(z.copy(), radii))
-        t0 = _nudged(ref[pick % K], ulps)
-        shifts = statistics._shifts(t0, n, p)
-        assume(shifts is not None)  # the unit runs the tier only for such a t0
-        below = experiments._raw_below(z, radii, shifts[0])
-        assert not np.any(below & (ref >= t0))
+        _check_against(n, p, K, log_scale, far, zero_cols, pick, ulps, spread, equal, seed)
 
     @pytest.mark.parametrize("shape", [(50, 50), (32, 128), (128, 32)])
-    def test_far_images_are_certified_and_tight_ones_only_past_the_slack(self, shape):
+    def test_far_images_are_certified_and_tight_ones_only_past_the_slack(self, monkeypatch,
+                                                                          shape):
         n, p = shape
         z = RngStream(61004).generator().standard_normal((4, n, p))
-        radii = np.ones(p)
-        t0 = 10.0 * float(np.max(batch_opnorm(_scale_columns(z.copy(), radii))))
-        assert experiments._raw_below(z, radii, statistics._shifts(t0, n, p)[0]).all()
-        # rank one with entries of one magnitude: the row sums are tight
-        parallel = np.repeat(np.sign(z[:, :, :1]), p, axis=2)
-        ref = batch_opnorm(_scale_columns(parallel.copy(), radii))
-        for t0, expected in ((ref.min(), False), (ref.max() * (1.0 + 1e-9), True)):
-            bound = statistics._shifts(float(t0), n, p)[0]
-            assert_array_equal(experiments._raw_below(parallel, radii, bound),
-                               np.full(4, expected))
+        t0 = 10.0 * float(np.max(batch_opnorm(_scale_columns(z.copy(), np.ones(p)))))
+        with monkeypatch.context() as patched:
+            patched.setattr(statistics, "dpotrf", _no_dpotrf)
+            assert_array_equal(_against(z, np.ones(p), t0), np.full(4, -np.inf))
+        _check_tight(monkeypatch, n, p)
