@@ -26,15 +26,32 @@ RngStream(seed, u).child(c).generator(), which
 SeedSequence.  The CSV bytes are fixed by (config, seed) for a given NumPy:
 NEP 19 keeps the bit generators stable but lets Generator methods change
 between releases.
+
+Workers: a call with several chunks and ``workers > 1`` maps the chunks
+over one process pool per process (``_pool``), forked once per process
+and worker count and kept across calls until another count asks for it
+or a worker dies. It shuts down at exit, and on Linux a pool forked from
+the main thread also exits when the process is killed. Forked workers do
+not see later changes to the parent, such as monkeypatches. Each worker
+sets every OpenBLAS it has loaded to max(1, cpu_count // workers)
+threads, so the workers together run one BLAS thread per core, and each
+call that uses the pool stops the parent's OpenBLAS threads, as a fork
+would.
 """
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import logging
 import math
+import multiprocessing
+import os
 import re
+import signal
+import sys
+import threading
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -650,6 +667,106 @@ def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     return counts
 
 
+# the workers are forked, not spawned: a child starts from the parent's
+# imported state instead of re-importing __main__, so a script that calls
+# run_experiment without a __main__ guard works. Python 3.14 makes
+# forkserver the default on Linux, so fork is asked for by name there.
+_MP_CONTEXT = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+_POOL = None  # (pid, workers, executor, BLAS thread stops) of the kept pool
+# held from taking the pool to the last result, so that a call from another
+# thread cannot shut the pool down under a call that is using it
+_POOL_LOCK = threading.Lock()
+
+
+def _openblas_libs() -> list[ctypes.CDLL]:
+    """Each OpenBLAS library this process has loaded (NumPy and SciPy each
+    bundle their own), found by path in /proc/self/maps; none where that
+    file is missing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[5].strip() for line in maps
+                            if "openblas" in line})
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return libs
+
+
+def _openblas_threads(threads: int | None = None) -> list[int]:
+    """The thread count of each loaded OpenBLAS, first set to ``threads``
+    when given, through its ``*_set_num_threads`` and ``*_get_num_threads``
+    symbols; a library without them keeps its default and is skipped."""
+    names = [(f"{stem}_get_num_threads{suffix}", f"{stem}_set_num_threads{suffix}")
+             for stem in ("openblas", "scipy_openblas") for suffix in ("", "64_")]
+    counts = []
+    for lib in _openblas_libs():
+        pair = next(((getattr(lib, g), getattr(lib, p)) for g, p in names
+                     if hasattr(lib, g) and hasattr(lib, p)), None)
+        if pair is None:
+            continue
+        get, put = pair
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        if threads is not None:
+            put(threads)
+        counts.append(get())
+    return counts
+
+
+def _worker_init(workers: int, parent: int | None) -> None:
+    """Give each OpenBLAS in this worker its share of the cores, so that
+    the workers together run one BLAS thread per core instead of one per
+    core each. Given the ``parent`` pid, on Linux, also ask for SIGTERM
+    when the parent dies: a kept worker otherwise waits on its call queue
+    for ever once the parent is killed, since the exit hook that stops it
+    runs only on a normal exit. Linux sends that signal when the forking
+    thread ends, so only a pool forked from the main thread asks for it."""
+    if parent is not None and sys.platform == "linux":
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+        prctl(1, signal.SIGTERM, 0, 0, 0)  # 1 is PR_SET_PDEATHSIG
+        if os.getppid() != parent:  # the parent died before the request
+            os._exit(1)
+    _openblas_threads(max(1, (os.cpu_count() or 1) // workers))
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, kept across calls.
+
+    It is forked at the first call that needs it and again for another
+    worker count, after one of its workers has died, or in a child of the
+    process that forked it. concurrent.futures shuts it down at exit.
+
+    A kept pool is also handed out with this process's own OpenBLAS
+    threads stopped, as OpenBLAS's fork handler stops them at every fork:
+    they spin for a while after each BLAS call, which would take cores from
+    the workers; the next BLAS call here starts them again."""
+    global _POOL
+    if _POOL is not None:
+        pid, n, pool, stops = _POOL
+        if pid == os.getpid():
+            # _broken is set by concurrent.futures once a worker has died
+            if n == workers and not pool._broken:
+                for stop in stops:
+                    stop()
+                return pool
+            pool.shutdown()
+    main = threading.current_thread() is threading.main_thread()
+    pool = ProcessPoolExecutor(workers, mp_context=_MP_CONTEXT, initializer=_worker_init,
+                               initargs=(workers, os.getpid() if main else None))
+    stops = [lib.blas_thread_shutdown_ for lib in _openblas_libs()
+             if hasattr(lib, "blas_thread_shutdown_")]
+    for stop in stops:
+        stop.argtypes, stop.restype = [], ctypes.c_int
+    _POOL = (os.getpid(), workers, pool, stops)
+    return pool
+
+
 def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
     n_units = len(cfg.grid) * cfg.replicates
     bounds = [(lo, min(lo + _CHUNK, n_units)) for lo in range(0, n_units, _CHUNK)]
@@ -657,9 +774,9 @@ def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
     if workers <= 1:
         parts = [_chunk(cfg, lo, hi) for lo, hi in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_chunk, repeat(cfg),
-                                  [b[0] for b in bounds], [b[1] for b in bounds]))
+        with _POOL_LOCK:
+            parts = list(_pool(workers).map(_chunk, repeat(cfg),
+                                            [b[0] for b in bounds], [b[1] for b in bounds]))
     total = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
     for part in parts:
         total += part

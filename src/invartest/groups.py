@@ -215,8 +215,25 @@ def _scale_columns(z: np.ndarray, radii: np.ndarray) -> np.ndarray:
     radius. ``radii`` holds the p column norms of the matrix acted on, so
     zero columns stay zero. Scales ``z`` in place and returns it; a slice
     has the same bits in any stack, so scaling any subset of the slices of
-    a draw gives the bits that scaling the whole draw gives them."""
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
+    a draw gives the bits that scaling the whole draw gives them.
+
+    A column whose squared entries all underflow has norm 0, and one whose
+    squares overflow has norm inf. Such a column alone is scaled by the
+    power of two that brings its largest |entry| into [1/2, 1), as
+    ``statistics.batch_opnorm`` scales a slice, and divided by the norm of
+    that copy; every other column keeps the bits of the plain division."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(z, axis=1, keepdims=True)
+    redo = (norms == 0.0) | (norms == np.inf)
+    if redo.any():
+        cols = np.moveaxis(z, 1, 2)  # a (K, p, n) view of z
+        picked = redo[:, 0, :]
+        bad = cols[picked]
+        e = np.maximum(np.frexp(np.abs(bad).max(axis=1))[1], -1022)
+        bad *= np.ldexp(1.0, -e)[:, None]
+        bad_norms = np.linalg.norm(bad, axis=1, keepdims=True)
+        cols[picked] = bad / np.where(bad_norms > 0.0, bad_norms, 1.0)
+        norms[redo] = 1.0
     z /= np.where(norms > 0.0, norms, 1.0)
     z *= radii
     return z

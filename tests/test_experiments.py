@@ -3,6 +3,14 @@ the t-test comparator."""
 
 import dataclasses
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -12,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_array_equal
 from scipy import stats
 
+import invartest
 from invartest import experiments
 from invartest.engine import RandTestConfig, decide, exact_level, run_randomization_test
 from invartest.experiments import (
@@ -441,9 +450,9 @@ class TestRunners:
         serial = run_experiment(cfg, workers=1).to_csv()
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a one-chunk run started a process pool")
+            raise AssertionError("a one-chunk run used a process pool")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiments, "_pool", no_pool)
         assert run_experiment(cfg, workers=4).to_csv() == serial
 
     def test_different_seeds_differ(self):
@@ -573,6 +582,151 @@ def _engine_tests(cfg, signal, gen):
               "rotation": GroupAction("rotate_full", p=p)}
     return {meth.label: (xs[meth.df], make_statistic("colmean_linf"), groups[meth.kind])
             for meth in cfg.parsed if meth.K}
+
+
+def _worker_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork pool and /proc are Linux's")
+class TestKeptPool:
+    # 2 grid points x 200 replicates are two chunks, 2 x 300 three
+    CFG = two_sample_config(seed=90010, grid_points=2, replicates=200, K=19)
+
+    def test_calls_share_the_workers(self):
+        serial = run_experiment(self.CFG, workers=1).to_csv()
+        assert run_experiment(self.CFG, workers=2).to_csv() == serial
+        first = _worker_pids()
+        assert len(first) == 2
+        assert run_experiment(self.CFG, workers=2).to_csv() == serial
+        assert _worker_pids() == first
+
+    def test_other_worker_count_replaces_the_pool(self):
+        run_experiment(self.CFG, workers=2)
+        two = _worker_pids()
+        cfg = dataclasses.replace(self.CFG, replicates=300)
+        assert run_experiment(cfg, workers=3).to_csv() == run_experiment(cfg, workers=1).to_csv()
+        three = _worker_pids()
+        assert len(three) == 3 and not three & two
+        assert not any(_alive(pid) for pid in two)
+
+    def test_broken_pool_is_replaced(self):
+        pool = experiments._pool(2)
+        with pytest.raises(BrokenProcessPool):
+            pool.submit(os._exit, 1).result()
+        serial = run_experiment(self.CFG, workers=1).to_csv()
+        assert run_experiment(self.CFG, workers=2).to_csv() == serial
+        assert experiments._pool(2) is not pool
+
+    def test_pool_forked_by_an_ended_thread_still_serves(self):
+        # Linux sends the parent-death signal once the forking thread ends,
+        # so a pool forked off the main thread must not ask for it; a
+        # 3-worker pool first, so that the thread forks a pool of its own
+        experiments._pool(3)
+        out = []
+        thread = threading.Thread(
+            target=lambda: out.append(run_experiment(self.CFG, workers=2).to_csv()))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and out
+        assert run_experiment(self.CFG, workers=2).to_csv() == out[0]
+
+    def test_threads_at_two_counts_share_one_pool(self):
+        # each call at another count than the last replaces the pool, which
+        # must not happen under a call that is still using it
+        cfg = dataclasses.replace(self.CFG, replicates=300)
+        serial = run_experiment(cfg, workers=1).to_csv()
+        same, errors = [], []
+
+        def calls(workers):
+            try:
+                same.extend(run_experiment(cfg, workers=workers).to_csv() == serial
+                            for _ in range(3))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=calls, args=(w,)) for w in (2, 3, 2, 3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and same == [True] * 12
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_blas_threads(self, workers):
+        threads = experiments._pool(workers).submit(experiments._openblas_threads).result()
+        assert len(threads) == len(experiments._openblas_threads())
+        assert threads == [max(1, os.cpu_count() // workers)] * len(threads)
+
+    def test_parent_blas_threads_stop_for_a_kept_pool(self):
+        # a fork stopped them through OpenBLAS's fork handler; a kept pool
+        # stops them itself, so that they do not spin beside the workers
+        run_experiment(self.CFG, workers=2)
+        a = np.ones((300, 300))
+        a @ a  # starts NumPy's OpenBLAS threads, where it has more than one
+        if max(experiments._openblas_threads(), default=1) < 2:
+            pytest.skip("no OpenBLAS with more than one thread")
+        before = len(os.listdir("/proc/self/task"))
+        run_experiment(self.CFG, workers=2)
+        assert len(os.listdir("/proc/self/task")) < before
+
+    def _study(self, tmp_path, tail):
+        # no __main__ guard, as in the README example: a forked worker does
+        # not re-import the script
+        script = tmp_path / "study.py"
+        script.write_text(
+            "import multiprocessing, time\n"
+            "from invartest.experiments import run_experiment, two_sample_config\n"
+            "cfg = two_sample_config(seed=90010, grid_points=2, replicates=200, K=19)\n"
+            "print(run_experiment(cfg, workers=2).to_csv(), end='')\n"
+            "print(*[p.pid for p in multiprocessing.active_children()], flush=True)\n"
+            + tail)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(invartest.__file__)),
+            os.environ.get("PYTHONPATH", "")])))
+        return subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+    def test_unguarded_script_exits_clean(self, tmp_path):
+        proc = self._study(tmp_path, "")
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        *csv, pids = out.splitlines(keepends=True)
+        assert "".join(csv) == run_experiment(self.CFG, workers=1).to_csv()
+        pids = [int(pid) for pid in pids.split()]
+        assert len(pids) == 2
+        assert not any(_alive(pid) for pid in pids)
+
+    def test_workers_of_a_killed_parent_exit(self, tmp_path):
+        csv_lines = len(run_experiment(self.CFG, workers=1).to_csv().splitlines())
+        proc = self._study(tmp_path, "time.sleep(300)\n")
+        try:
+            for _ in range(csv_lines):
+                proc.stdout.readline()
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            # wait, not communicate: a surviving worker holds the pipes open
+            proc.terminate()
+            proc.wait(timeout=60)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in pids if _alive(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)
+        assert not left
 
 
 class TestTwoSampleTTest:

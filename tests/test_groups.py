@@ -17,6 +17,7 @@ from invartest.groups import (
     _scale_columns,
 )
 from invartest.numerics import RngStream, qr_orthonormalize
+from invartest.statistics import batch_opnorm
 
 
 class TestSignflips:
@@ -436,6 +437,26 @@ class TestColumnSphereImages:
         for rows in subsets:
             part = _scale_columns(z[rows], radii).reshape(len(rows), *shape)
             assert part.tobytes() == whole[rows].tobytes()
+
+    # squares of entries near 1e-200 underflow to a zero norm and those of
+    # entries near 1e200 overflow (a RuntimeWarning, an error in this suite)
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_tiny_and_huge_columns_reach_their_sphere(self, scale):
+        assert_allclose(batch_opnorm(_scale_columns(scale * np.ones((3, 4, 4)), np.ones(4))),
+                        2.0, rtol=1e-15)
+
+    def test_only_the_extreme_columns_are_redone(self):
+        z = _column_gaussians((6, 4), 5, RngStream(41042).generator())
+        radii = np.array([1.0, 2.0, 0.0, 3.0])
+        plain = _scale_columns(z.copy(), radii)
+        mixed = z.copy()
+        mixed[1, :, 0] *= 1e-200
+        mixed[3, :, 3] *= 1e200
+        mixed = _scale_columns(mixed, radii)
+        assert_allclose(mixed, plain, rtol=1e-15)
+        keep = np.ones(z.shape, dtype=bool)
+        keep[1, :, 0] = keep[3, :, 3] = False
+        assert mixed[keep].tobytes() == plain[keep].tobytes()
 
 
 class TestRotatePerColumnVector:
