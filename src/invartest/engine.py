@@ -102,20 +102,26 @@ def decide(t0: float, randomized: np.ndarray, k: int) -> bool:
     return count_below(t0, randomized) >= k
 
 
-def decide_stopping(t0: float, orbit, K: int, k: int) -> bool:
+def decide_stopping(t0: float, orbit, K: int, k: int, first: int) -> bool:
     """``decide`` over K orbit values that stops drawing once the outcome is
     fixed.
 
     ``orbit(b)`` returns the next b orbit values. They are drawn in blocks of
-    1, 2, 4, ... rows, capped at the rows left, until k values lie strictly
-    below t0 (reject) or more than K - k do not (accept). The result equals
-    ``decide(t0, values, k)`` on all K values; when the blocks are prefixes
-    of one draw of all K, the values drawn are a prefix of those K values.
+    ``first``, 2 ``first``, 4 ``first``, ... rows, capped at the rows left,
+    until k values lie strictly below t0 (reject) or more than K - k do not
+    (accept). The result equals ``decide(t0, values, k)`` on all K values
+    for every ``first``; when the blocks are prefixes of one draw of all K,
+    the values drawn are a prefix of those K values. Stopping once the
+    outcome is fixed leaves the test exact (Besag and Clifford, Biometrika,
+    1991). ``first`` sets only the cost: a reject needs at least k values,
+    an accept at least K - k + 1.
     """
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if first < 1:
+        raise ValueError(f"the first block must hold >= 1 values, got {first}")
     drawn = below = 0
-    block = 1
+    block = first
     while True:
         b = min(block, K - drawn)
         below += count_below(t0, orbit(b))

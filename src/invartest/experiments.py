@@ -11,10 +11,16 @@ Determinism contract: every (grid point, replicate) unit owns the stream
 RngStream(seed, g * replicates + r); the noise draw uses child(0) and method
 i uses child(1 + i).  No unit reads another unit's stream, and rejections
 are summed as integers, so any chunking of the units, and hence any worker
-count, gives the same output.  A lowrank method stops drawing once its
-decision is settled and reads only a prefix of its own child(1 + i); the
-values it does read are those of the full draw, so the output is unchanged.
-Nor does it form every image it draws: ``statistics.sphere_opnorm_against``
+count, gives the same output.  A lowrank method and a sparse_vector
+rotation method stop drawing once the decision is settled
+(``engine.decide_stopping``) and read only a prefix of their own
+child(1 + i); the values they do read are those of the full draw, so the
+output is unchanged.  Lowrank draws blocks of 1, 2, 4, ... values. A sparse
+rotation's first block is K after the method's previous reject in the chunk
+and K - k + 1 otherwise, then doubles; the size of a block never changes a
+decision.  The signflip, permutation and regression methods draw all K
+values: there a value costs less than a block's calls.  Nor does a lowrank
+method form every image it draws: ``statistics.sphere_opnorm_against``
 decides each block from the Gram of its raw Gaussian draw, by row sums, then
 a Cholesky factorisation, and forms only the images in a near-tie with t0.
 Each decision is still the one ``batch_opnorm`` gives on the images
@@ -491,8 +497,10 @@ def regression_config(
 
 # ---------------------------------------------------------------------------
 # scenarios under one unit loop: setup(cfg) computes per-chunk
-# constants; unit(cfg, constants, signal, noise generator, (method, generator)
-# pairs) draws one unit and yields one rejection per method, in method order.
+# constants; unit(cfg, constants, signal, noise generator, (method, generator,
+# first block) triples) draws one unit and yields one rejection per method, in
+# method order. A unit that stops its orbit early may start it with the first
+# block ``_chunk`` sets from the method's previous decision.
 # Every group draw goes through the helpers in groups.py; each unit keeps
 # only its statistic's arithmetic on the draw.
 
@@ -515,7 +523,7 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
         x[:, 0] += mu
         c = x.mean(axis=0)
         drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c))
-    for meth, gen in methods:
+    for meth, gen, first in methods:
         x, t0, radius = drawn[meth.df]
         if meth.kind == "deterministic":
             yield t0 > t_det
@@ -524,10 +532,12 @@ def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
             yield decide(t0, vals, meth.k)
         else:  # rotation acts on rows, hence on the column-mean vector
             # a Gaussian z over its norm is uniform on the sphere, so
-            # max|z| / |z| * radius is the lazy image's sup norm
-            z, norms = _gaussian_rows((meth.K, cfg.p), gen)
-            vals = np.max(np.abs(z), axis=1) / norms * radius
-            yield decide(t0, vals, meth.k)
+            # max|z| / |z| * radius is the lazy image's sup norm; row blocks
+            # of the draw are prefixes of one draw of all K
+            def orbit(b, gen=gen, radius=radius):
+                z, norms = _gaussian_rows((b, cfg.p), gen)
+                return np.abs(z).max(axis=1) / norms * radius
+            yield decide_stopping(t0, orbit, meth.K, meth.k, first)
 
 
 def _two_sample_setup(cfg: ScenarioConfig) -> float | None:
@@ -558,7 +568,7 @@ def _two_sample_unit(cfg: ScenarioConfig, t_crit, mu: float, noise, methods):
     centered = w - np.add.reduce(w) / w.size  # grand mean is the nuisance direction
     t0 = float(_mean_gaps(centered, n))
     delta = 8.0 * w.size * _U * np.add.reduce(np.abs(centered)) / min(n, cfg.n2)
-    for meth, gen in methods:
+    for meth, gen, _ in methods:
         if meth.kind == "t_test":
             t = _pooled_t(w[:n], w[n:])
             yield t is not None and abs(t) > t_crit
@@ -588,13 +598,13 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
     t0 = float(batch_opnorm(x[None])[0])  # the opnorm statistic, as the engine's t0
     radii = np.linalg.norm(x, axis=0)  # the column norms every image takes
     shifts = opnorm_shifts(t0, cfg.n, cfg.p)
-    for meth, gen in methods:
+    for meth, gen, _ in methods:
         # row blocks of the draw are prefixes of one draw of all K, so
         # stopping early leaves every drawn value as it was;
         # decide_stopping counts only which side of t0 each value lies on
         def orbit(b, gen=gen):
             return sphere_opnorm_against(_column_gaussians(x.shape, b, gen), radii, t0, shifts)
-        yield decide_stopping(t0, orbit, meth.K, meth.k)
+        yield decide_stopping(t0, orbit, meth.K, meth.k, 1)
 
 
 def regression_design(cfg: ScenarioConfig) -> np.ndarray:
@@ -620,7 +630,7 @@ def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
     y = tau * column + eps
     t0 = float(np.max(np.abs(pinv @ y)))
     delta = 8.0 * cfg.n * _U * pinv_norm * np.max(np.abs(y))
-    for meth, gen in methods:
+    for meth, gen, _ in methods:
         b = _signs(meth.K, cfg.n, gen)
         b *= y[None, :]
         vals = np.max(np.abs(pinv @ b.T), axis=0)
@@ -659,11 +669,19 @@ def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     children = [0] + [1 + m for m, meth in enumerate(cfg.parsed) if meth.K]
     gens = stream_generators(cfg.seed, [(u, c) for u in range(lo, hi)
                                         for c in children])
+    # each method's previous decision sets its first orbit block: after a
+    # reject, all K values, since a reject needs at least k and one block is
+    # cheapest; otherwise K - k + 1, the fewest that settle an accept. The
+    # block size never changes a decision, so the chunking does not either.
+    rejected = [False] * len(cfg.parsed)
     for u in range(lo, hi):
         g = u // cfg.replicates
         noise = next(gens)
-        methods = [(meth, next(gens) if meth.K else None) for meth in cfg.parsed]
-        counts[g] += list(row.unit(cfg, const, cfg.grid[g], noise, methods))
+        methods = [(meth, next(gens) if meth.K else None,
+                    meth.K if prev else meth.K - meth.k + 1)
+                   for meth, prev in zip(cfg.parsed, rejected)]
+        rejected = list(row.unit(cfg, const, cfg.grid[g], noise, methods))
+        counts[g] += rejected
     return counts
 
 

@@ -183,13 +183,19 @@ def _permutations(K: int, n: int, gen: np.random.Generator) -> np.ndarray:
 
 
 def _gaussian_rows(shape: tuple[int, ...], gen: np.random.Generator):
-    """A standard normal draw and the norms of its last-axis rows. A draw
-    with a row of norm 0 (probability zero) is redrawn whole."""
-    while True:
-        z = gen.standard_normal(shape)
-        norms = np.sqrt(np.vecdot(z, z))  # bitwise the 1-d np.linalg.norm
-        if np.all(norms > 0.0):
-            return z, norms
+    """A standard normal draw and the norms of its last-axis rows. A row of
+    norm 0 (probability zero) is dropped, the rows after it move up, and the
+    draw is filled from the next rows of the stream. So the draw is the
+    first rows of nonzero norm in the stream, and a draw of a rows followed
+    by b rows equals one draw of a + b in every case."""
+    z = gen.standard_normal(shape)
+    norms = np.sqrt(np.vecdot(z, z))  # bitwise the 1-d np.linalg.norm
+    while not (norms > 0.0).all():
+        rows = z.reshape(-1, shape[-1])[norms.ravel() > 0.0]
+        more = gen.standard_normal((norms.size - rows.shape[0], shape[-1]))
+        z = np.concatenate([rows, more]).reshape(shape)
+        norms = np.sqrt(np.vecdot(z, z))
+    return z, norms
 
 
 def _sphere_images(x: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:

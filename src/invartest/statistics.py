@@ -35,7 +35,7 @@ __all__ = [
     "shipped_statistics",
 ]
 
-_BLOCK_VALUES = 2 ** 16  # stacks are drawn in blocks of at most this many values
+_BLOCK_VALUES = 2 ** 15  # stacks are drawn in blocks of at most this many values
 
 
 def weighted_rows(w, x) -> np.ndarray:

@@ -80,12 +80,16 @@ class TestDecisionPrimitives:
             sizes.append(b)
             return np.full(b, -1.0)
 
-        assert decide_stopping(0.0, orbit, K=9, k=12) is False
+        assert decide_stopping(0.0, orbit, K=9, k=12, first=1) is False
         assert sizes == [1]
 
     def test_decide_stopping_needs_K(self):
         with pytest.raises(ValueError, match="K"):
-            decide_stopping(0.0, lambda b: np.zeros(b), K=0, k=1)
+            decide_stopping(0.0, lambda b: np.zeros(b), K=0, k=1, first=1)
+
+    def test_decide_stopping_needs_a_first_block(self):
+        with pytest.raises(ValueError, match="first block"):
+            decide_stopping(0.0, lambda b: np.zeros(b), K=5, k=1, first=0)
 
     def test_p_value_counts_ties(self):
         randomized = np.array([5.0, 1.0, 1.0])
@@ -325,12 +329,16 @@ class TestDecisionProperties:
             sizes.append(b)
             return vals[drawn:drawn + b]
 
-        assert decide_stopping(t0, orbit, K, k) == decide(t0, vals, k)
-        # blocks of 1, 2, 4, ... rows, the last capped at the rows left
-        assert sizes == [min(2**i, K + 1 - 2**i) for i in range(len(sizes))]
+        first = data.draw(st.integers(1, K), label="first")
+        assert decide_stopping(t0, orbit, K, k, first) == decide(t0, vals, k)
+        # blocks of first, 2 first, 4 first, ... rows, the last capped at
+        # the rows left; they stop at the first block end past the values
+        # that settle the decision, so the values read are a prefix
+        ends = [min(K, first * (2**(i + 1) - 1)) for i in range(len(sizes))]
+        assert np.cumsum(sizes).tolist() == ends
         needed = _draws_needed(t0, vals, k)
-        assert sum(sizes) == min(K, next(2**j - 1 for j in range(1, 11)
-                                         if 2**j - 1 >= needed))
+        assert sum(sizes) == min(K, next(first * (2**j - 1) for j in range(1, 11)
+                                         if first * (2**j - 1) >= needed))
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(K=st.integers(1, 2000), data=st.data())

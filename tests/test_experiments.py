@@ -36,7 +36,7 @@ from invartest.experiments import (
     two_sample_config,
     two_sample_t_test,
 )
-from invartest.groups import GroupAction, _column_sphere_images
+from invartest.groups import GroupAction, _column_sphere_images, _gaussian_rows
 from invartest.noise import NoiseSpec, sample_noise
 from invartest.numerics import RngStream
 from invartest.statistics import batch_opnorm, make_statistic
@@ -463,9 +463,11 @@ class TestRunners:
     # small sizes where exact ties are frequent: a permutation of 3 + 3 rows
     # keeps or swaps the halves in 1 draw of 10, and 4 signs are all equal
     # in 1 draw of 8; alpha = 0.5 puts k mid-orbit, where a tie counted
-    # below t0 flips more decisions
+    # below t0 flips more decisions, and where a stopped sparse rotation
+    # orbit reads two blocks (k = 50 of K = 99) for either outcome
     @pytest.mark.parametrize("scenario, kwargs", [
         ("sparse_vector", dict(n=8, p=5, ks=(19,))),
+        ("sparse_vector", dict(ks=(99,), alpha=0.5, grid=(0.0, 0.3, 0.6, 0.9))),
         ("heavy_tail", dict(n=8, p=5, ks=(19,), dfs=(3, 5))),
         ("two_sample", dict(n=3, n2=3, K=99)),
         ("two_sample", dict(n=4, n2=4, K=99)),
@@ -474,20 +476,24 @@ class TestRunners:
         ("lowrank", dict(n=128, p=32)),
         ("regression", dict(n=4, p=2, K=99, alpha=0.5)),
         ("regression", dict(n=6, p=3, K=39, alpha=0.5)),
-    ], ids=["sparse_vector", "heavy_tail", "two_sample_n3", "two_sample_n4", "lowrank",
+    ], ids=["sparse_vector", "sparse_vector_K99", "heavy_tail", "two_sample_n3", "two_sample_n4", "lowrank",
             "lowrank_wide", "lowrank_tall", "regression_n4", "regression_n6"])
     def test_unit_is_the_engine_test(self, monkeypatch, scenario, kwargs):
         # each unit's rejections, read from a one-unit chunk, against the
         # generic engine on the unit's own streams; the lowrank t0, seen
         # through decide_stopping, is the opnorm statistic's
+        kwargs = dict(kwargs)
+        grid = kwargs.pop("grid", None)
         cfg = experiments._SCENARIO_ROWS[scenario].factory(
             7, grid_points=5, replicates=30, **kwargs)
+        if grid is not None:
+            cfg = dataclasses.replace(cfg, grid=grid)
         seen = []
         decide_stopping = experiments.decide_stopping
 
-        def spy(t0, orbit, K, k):
+        def spy(t0, orbit, K, k, first):
             seen.append(t0)
-            return decide_stopping(t0, orbit, K, k)
+            return decide_stopping(t0, orbit, K, k, first)
 
         monkeypatch.setattr(experiments, "decide_stopping", spy)
         decisions = []
@@ -521,7 +527,7 @@ class TestRunners:
                                                  K=99), grid=grid)
         seen = []
 
-        def spy(t0, orbit, K, k):
+        def spy(t0, orbit, K, k, first):
             values = np.concatenate([orbit(b) for b in (1, 2, 4, 8, 16, 32, 36)])
             seen.append((t0, values))
             return decide(t0, values, k)
@@ -538,6 +544,52 @@ class TestRunners:
             assert_array_equal(values < t0, ref, err_msg=f"unit {u}")
             sides += list(ref)
         assert any(sides) and not all(sides)
+
+    def test_sparse_rotation_orbit_values_are_a_prefix_of_one_full_draw(self, monkeypatch):
+        # one chunk, so that each method's first block follows its previous
+        # decision; every value read is bitwise that of one draw of all K
+        # from the method's own stream, and the decision is decide's on it
+        cfg = dataclasses.replace(sparse_vector_config(9, replicates=40), grid=(0.0, 0.4, 0.8))
+        seen = []
+        decide_stopping = experiments.decide_stopping
+
+        def spy(t0, orbit, K, k, first):
+            blocks = []
+
+            def reading(b):
+                blocks.append(orbit(b))
+                return blocks[-1]
+
+            out = decide_stopping(t0, reading, K, k, first)
+            seen.append((t0, first, np.concatenate(blocks), out))
+            return out
+
+        monkeypatch.setattr(experiments, "decide_stopping", spy)
+        units = len(cfg.grid) * cfg.replicates
+        experiments._chunk(cfg, 0, units)
+        calls = iter(seen)
+        rejected = {}
+        for u in range(units):
+            stream = RngStream(cfg.seed, u)
+            x = sample_noise(cfg.noise, stream.child(0))
+            x[:, 0] += cfg.grid[u // cfg.replicates]
+            radius = float(np.linalg.norm(x.mean(axis=0)))
+            for m, meth in enumerate(cfg.parsed):
+                if meth.kind != "rotation":
+                    continue
+                t0, first, values, out = next(calls)
+                z, norms = _gaussian_rows((meth.K, cfg.p), stream.child(1 + m).generator())
+                full = np.max(np.abs(z), axis=1) / norms * radius
+                assert values.tobytes() == full[:values.size].tobytes(), (u, meth.label)
+                assert out == decide(t0, full, meth.k), (u, meth.label)
+                assert first == (meth.K if rejected.get(m) else meth.K - meth.k + 1)
+                rejected[m] = out
+        assert next(calls, None) is None
+        # early stops, and first blocks after both a reject and an accept
+        reads = [(first, values.size) for _, first, values, _ in seen]
+        assert any(size < 19 for _, size in reads)
+        assert any(first == 99 for first, _ in reads)
+        assert any(first == 5 and size < 99 for first, size in reads)
 
     def test_two_sample_t_test_unit_is_the_public_test(self):
         # each unit's t_test decision, read from a one-unit chunk, against

@@ -51,6 +51,11 @@ GOLDEN_CONFIGS = {
         exp.lowrank_config(3114, n=32, p=128, replicates=40), grid=(0.0, 5.0, 6.0, 40.0)),
     "lowrank_far_tall": lambda: replace(
         exp.lowrank_config(3115, n=128, p=32, replicates=40), grid=(0.0, 1.5, 2.5, 40.0)),
+    # near the null, where most sparse rotation orbits stop after a few
+    # values and a unit after a reject reads its orbit in one block; the
+    # digest was recorded on the code that drew all K values
+    "sparse_null": lambda: replace(
+        exp.sparse_vector_config(3116, ks=(19, 99), replicates=200), grid=(0.0, 0.3)),
 }
 
 # sha256 of the CSV; for regression, of the data rows only (header included)
@@ -64,6 +69,7 @@ GOLDEN_SHA256 = {
     "lowrank_far": "6d0bd7e75578249d5df536075db3929411a0a99e346c1c9f6c43825bd0b52d58",
     "lowrank_far_wide": "93e31a4ff963f9edb96761cac154893de27cd6e57c04d767c6c5ac108cbf96d3",
     "lowrank_far_tall": "b587bfe249a30ef3d33d92ccb5c3a9b160d08e8f954bd7010c35e794b90ef905",
+    "sparse_null": "9740bc5650ea14937ca48dfb7cdcd3da68583c83089b1a2db2f55d1df2695115",
 }
 
 # Monte Carlo means summed by BLAS, so pinned to a relative tolerance
@@ -227,7 +233,7 @@ class TestGoldenTestCommand:
     def test_rotation_per_column_does_not_depend_on_blas_threads(self, golden_matrix,
                                                                  tmp_path):
         # opnorm forms its Gram matrices with BLAS; a 32x100 K=99 test
-        # evaluates them in blocks of 20 images
+        # evaluates them in blocks of 10 images
         data = np.random.Generator(np.random.PCG64(3112)).standard_normal((32, 100))
         large = _write_matrix(tmp_path / "large.csv", data)
         outs = [[_run_test_in_fresh_interpreter(path, "opnorm", "rotation_per_column",

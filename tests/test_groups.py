@@ -13,6 +13,7 @@ from invartest.groups import (
     GroupAction,
     _column_gaussians,
     _column_sphere_images,
+    _gaussian_rows,
     _orthonormal_frames,
     _scale_columns,
 )
@@ -334,11 +335,15 @@ class TestRandomizeBatch:
         assert images.tobytes() == (x @ q.mT).tobytes()
 
     def test_zero_norm_sphere_draw_is_redrawn(self):
+        # only the zero row is replaced: the rows after it move up and one
+        # more row is drawn
         x = np.array([3.0, 4.0, 0.0])
         stub = _StubGenerator(RngStream(41028).generator(), zero_slot=2)
         images = GroupAction("rotate_full", p=3).randomize_batch(x, 4, stub)
-        assert [d.shape for d in stub.draws] == [(4, 3), (4, 3)]
+        assert [d.shape for d in stub.draws] == [(4, 3), (1, 3)]
         assert_allclose(np.linalg.norm(images, axis=1), 5.0, rtol=1e-14)
+        z = np.concatenate([stub.draws[0][[0, 1, 3]], stub.draws[1]])
+        assert_allclose(images, 5.0 * z / np.linalg.norm(z, axis=1)[:, None], rtol=1e-14)
 
 
 class _StubGenerator:
@@ -355,6 +360,45 @@ class _StubGenerator:
             z[self.zero_slot] = 0.0
         self.draws.append(z.copy())
         return z
+
+
+class _ZeroRowStream:
+    """Serves standard normals in order from one fixed sequence of rows of
+    length m, whose rows ``zero`` are all zero."""
+
+    def __init__(self, m, zero, seed):
+        rows = RngStream(seed).generator().standard_normal((32, m))
+        rows[list(zero)] = 0.0
+        self.rows = rows
+        self.pos = 0
+
+    def standard_normal(self, shape):
+        values = self.rows.ravel()[self.pos:self.pos + int(np.prod(shape))]
+        self.pos += values.size
+        return values.reshape(shape).copy()
+
+
+class TestGaussianRows:
+    # the early stops of the power study and the engine's blocks read a
+    # draw in row blocks, so a row of norm 0 may not break the prefix rule
+    @pytest.mark.parametrize("zero", [(), (0,), (2,), (3,), (2, 3), (4, 6), (1, 2, 3, 4)])
+    def test_a_draw_of_a_then_b_rows_is_one_draw_of_a_plus_b(self, zero):
+        a, b, m = 3, 4, 5
+        whole, whole_norms = _gaussian_rows((a + b, m), _ZeroRowStream(m, zero, 41043))
+        stream = _ZeroRowStream(m, zero, 41043)
+        parts = [_gaussian_rows((r, m), stream) for r in (a, b)]
+        assert np.concatenate([z for z, _ in parts]).tobytes() == whole.tobytes()
+        assert np.concatenate([n for _, n in parts]).tobytes() == whole_norms.tobytes()
+        # the first a + b rows of nonzero norm, in stream order
+        rows = np.delete(_ZeroRowStream(m, zero, 41043).rows, list(zero), axis=0)
+        assert whole.tobytes() == rows[:a + b].tobytes()
+        assert whole_norms.tolist() == [np.linalg.norm(r) for r in rows[:a + b]]
+
+    def test_rows_of_a_stacked_shape_are_its_last_axis(self):
+        z, norms = _gaussian_rows((2, 3, 5), _ZeroRowStream(5, (1, 4), 41044))
+        rows = np.delete(_ZeroRowStream(5, (1, 4), 41044).rows, [1, 4], axis=0)
+        assert z.tobytes() == rows[:6].tobytes()
+        assert norms.shape == (2, 3) and np.all(norms > 0.0)
 
 
 class TestShapeChecks:
