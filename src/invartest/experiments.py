@@ -13,18 +13,11 @@ i uses child(1 + i).  No unit reads another unit's stream, and rejections
 are summed as integers, so any chunking of the units, and hence any worker
 count, gives the same output.  A lowrank method and a sparse_vector
 rotation method stop drawing once the decision is settled
-(``engine.decide_stopping``) and read only a prefix of their own
-child(1 + i); the values they do read are those of the full draw, so the
-output is unchanged.  Lowrank draws blocks of 1, 2, 4, ... values. A sparse
-rotation's first block is K after the method's previous reject in the chunk
-and K - k + 1 otherwise, then doubles; the size of a block never changes a
-decision.  The signflip, permutation and regression methods draw all K
-values: there a value costs less than a block's calls.  Nor does a lowrank
-method form every image it draws: ``statistics.sphere_opnorm_against``
-decides each block from the Gram of its raw Gaussian draw, by row sums, then
-a Cholesky factorisation, and forms only the images in a near-tie with t0.
-Each decision is still the one ``batch_opnorm`` gives on the images
-``groups._column_sphere_images`` forms.
+(``engine.decide_stopping``, first blocks set in ``_chunk``) and read only
+a prefix of their own child(1 + i); the values they do read are those of
+the full draw, and the size of a block never changes a decision, so the
+output is unchanged.  The signflip, permutation and regression methods
+draw all K values: there a value costs less than a block's calls.
 A chunk derives all its units' streams in one pass
 (``numerics.stream_generators``); each generator is bit-identical to
 RngStream(seed, u).child(c).generator(), which
@@ -34,15 +27,9 @@ NEP 19 keeps the bit generators stable but lets Generator methods change
 between releases.
 
 Workers: a call with several chunks and ``workers > 1`` maps the chunks
-over one process pool per process (``_pool``), forked once per process
-and worker count and kept across calls until another count asks for it
-or a worker dies. It shuts down at exit, and on Linux a pool forked from
-the main thread also exits when the process is killed. Forked workers do
-not see later changes to the parent, such as monkeypatches. Each worker
-sets every OpenBLAS it has loaded to max(1, cpu_count // workers)
-threads, so the workers together run one BLAS thread per core, and each
-call that uses the pool stops the parent's OpenBLAS threads, as a fork
-would.
+over one forked process pool per process, kept across calls (``_pool``,
+``_worker_init``). Forked workers do not see later changes to the parent,
+such as monkeypatches.
 """
 
 from __future__ import annotations
@@ -496,13 +483,12 @@ def regression_config(
 
 
 # ---------------------------------------------------------------------------
-# scenarios under one unit loop: setup(cfg) computes per-chunk
-# constants; unit(cfg, constants, signal, noise generator, (method, generator,
-# first block) triples) draws one unit and yields one rejection per method, in
-# method order. A unit that stops its orbit early may start it with the first
-# block ``_chunk`` sets from the method's previous decision.
-# Every group draw goes through the helpers in groups.py; each unit keeps
-# only its statistic's arithmetic on the draw.
+# scenarios under one unit loop: setup(cfg) computes per-chunk constants;
+# unit(cfg, constants, signal, noise generator, (method, generator, first
+# block) triples, the first block set by ``_chunk``) draws one unit and
+# yields one rejection per method, in method order. Every group draw goes
+# through the helpers in groups.py; each unit keeps only its statistic's
+# arithmetic on the draw.
 
 
 def _sparse_setup(cfg: ScenarioConfig) -> tuple[float, dict]:
@@ -515,21 +501,41 @@ def _sparse_setup(cfg: ScenarioConfig) -> tuple[float, dict]:
                    for df in dfs}
 
 
+def _decide_in_band(t0: float, vals: np.ndarray, k: int, delta: float, recompute) -> bool:
+    """``decide`` after the values within delta of t0 are replaced by
+    ``recompute(band)``, computed the way t0 is; each unit derives a delta
+    at least twice the rounding gap between its two ways of computing."""
+    band = np.abs(vals - t0) <= delta
+    if band.any():
+        vals[band] = recompute(band)
+    return decide(t0, vals, k)
+
+
 def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
+    """A signflip value is max_j |sum_i s_i x_ij| / n. In any order each of
+    its p sums is off by at most (n - 1) u S to first order (S = max_j sum_i
+    |x_ij|, u = 2^-53; Higham, Accuracy and Stability, 2002, 3.1) and the
+    division adds at most u S / n, so two ways of computing a value differ
+    by at most 2 u S. A value further than that from t0 lies on the side of
+    its column means computed as t0's are (``ndarray.mean`` over the rows);
+    those within 8 u S are recomputed so, and all-equal signs tie exactly."""
     t_det, specs = const
     drawn = {}
     for df, spec in specs.items():  # one matrix per df, drawn in sorted order
         x = sample_noise(spec, noise)
         x[:, 0] += mu
         c = x.mean(axis=0)
-        drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c))
+        delta = 8.0 * _U * np.add.reduce(np.abs(x)).max()
+        drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c)), delta
     for meth, gen, first in methods:
-        x, t0, radius = drawn[meth.df]
+        x, t0, radius, delta = drawn[meth.df]
         if meth.kind == "deterministic":
             yield t0 > t_det
         elif meth.kind == "signflip":
-            vals = np.max(np.abs(_signs(meth.K, cfg.n, gen) @ x), axis=1) / cfg.n
-            yield decide(t0, vals, meth.k)
+            s = _signs(meth.K, cfg.n, gen)
+            vals = np.max(np.abs(s @ x), axis=1) / cfg.n
+            yield _decide_in_band(t0, vals, meth.k, delta, lambda band: np.max(
+                np.abs((s[band, :, None] * x).mean(axis=1)), axis=1))
         else:  # rotation acts on rows, hence on the column-mean vector
             # a Gaussian z over its norm is uniform on the sphere, so
             # max|z| / |z| * radius is the lazy image's sup norm; row blocks
@@ -556,30 +562,23 @@ def _mean_gaps(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _two_sample_unit(cfg: ScenarioConfig, t_crit, mu: float, noise, methods):
-    """A gap between means of the centered values c, summed in any order, is
-    off by at most N u S to first order (N = n + n2, u = 2^-53, S = sum|c| /
-    min(n, n2); Higham, Accuracy and Stability, 2002, 3.1). So a value
-    further than 2 N u S from t0 lies on the side of its halves summed in
-    index order, as t0 is; those within 8 N u S are summed again that way,
-    and a permutation that keeps or swaps the halves ties exactly."""
+    """Each permutation's halves are sorted before the gather, so every half
+    is summed in index order, as t0's are; equal index sets give equal bits,
+    and a permutation that keeps or swaps the halves ties with t0 exactly."""
     n = cfg.n
     w = sample_noise(cfg.noise, noise)[:, 0]
     w[n:] += mu
     centered = w - np.add.reduce(w) / w.size  # grand mean is the nuisance direction
     t0 = float(_mean_gaps(centered, n))
-    delta = 8.0 * w.size * _U * np.add.reduce(np.abs(centered)) / min(n, cfg.n2)
     for meth, gen, _ in methods:
         if meth.kind == "t_test":
             t = _pooled_t(w[:n], w[n:])
             yield t is not None and abs(t) > t_crit
         else:
             perms = _permutations(meth.K, w.size, gen)
-            vals = _mean_gaps(centered[perms], n)
-            band = np.abs(vals - t0) <= delta
-            if band.any():
-                perms = np.concatenate([np.sort(perms[band, :n]), np.sort(perms[band, n:])], 1)
-                vals[band] = _mean_gaps(centered[perms], n)
-            yield decide(t0, vals, meth.k)
+            perms[:, :n].sort()
+            perms[:, n:].sort()
+            yield decide(t0, _mean_gaps(centered[perms], n), meth.k)
 
 
 def _lowrank_setup(cfg: ScenarioConfig) -> np.ndarray:
@@ -634,10 +633,7 @@ def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
         b = _signs(meth.K, cfg.n, gen)
         b *= y[None, :]
         vals = np.max(np.abs(pinv @ b.T), axis=0)
-        band = np.abs(vals - t0) <= delta
-        if band.any():
-            vals[band] = batch_ols_linf(b[band], pinv)
-        yield decide(t0, vals, meth.k)
+        yield _decide_in_band(t0, vals, meth.k, delta, lambda band: batch_ols_linf(b[band], pinv))
 
 
 # one row per scenario: its config factory, the method kinds it accepts,
@@ -793,12 +789,8 @@ def _run_units(cfg: ScenarioConfig, workers: int) -> np.ndarray:
         parts = [_chunk(cfg, lo, hi) for lo, hi in bounds]
     else:
         with _POOL_LOCK:
-            parts = list(_pool(workers).map(_chunk, repeat(cfg),
-                                            [b[0] for b in bounds], [b[1] for b in bounds]))
-    total = np.zeros((len(cfg.grid), len(cfg.methods)), dtype=np.int64)
-    for part in parts:
-        total += part
-    return total
+            parts = list(_pool(workers).map(_chunk, repeat(cfg), *zip(*bounds)))
+    return np.sum(parts, axis=0)
 
 
 def _regression_margin_notes(cfg: ScenarioConfig) -> dict:

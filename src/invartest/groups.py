@@ -41,6 +41,7 @@ a draw of a rows followed by b rows equals one draw of a + b.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,10 +257,17 @@ def _column_sphere_images(arr: np.ndarray, K: int, gen: np.random.Generator) -> 
 def _orthonormal_frames(shape: tuple[int, int, int], gen: np.random.Generator) -> np.ndarray:
     """Q factors of the sign-fixed QR of a standard normal (K, m, n) draw:
     K Haar orthogonal matrices when m == n, else K uniform points on the
-    Stiefel manifold V(m, n). A draw with a degenerate matrix (probability
-    zero) is redrawn whole."""
-    while True:
-        try:
-            return qr_orthonormalize(gen.standard_normal(shape))[0]
-        except ValueError:
-            continue
+    Stiefel manifold V(m, n). A degenerate matrix (probability zero) is
+    dropped and the draw filled from the next matrices of the stream, as
+    ``_gaussian_rows`` fills rows, so a draw of a frames followed by b
+    frames equals one draw of a + b in every case."""
+    z = gen.standard_normal(shape)
+    try:
+        return qr_orthonormalize(z)[0]
+    except ValueError:  # a stack is factored matrix by matrix, bitwise
+        frames = []
+        for a in z:
+            with suppress(ValueError):
+                frames.append(qr_orthonormalize(a)[0])
+        more = _orthonormal_frames((len(z) - len(frames), *shape[1:]), gen)
+        return np.concatenate([np.reshape(frames, (-1, *shape[1:])), more])

@@ -36,7 +36,13 @@ from invartest.experiments import (
     two_sample_config,
     two_sample_t_test,
 )
-from invartest.groups import GroupAction, _column_sphere_images, _gaussian_rows
+from invartest.groups import (
+    GroupAction,
+    _column_sphere_images,
+    _gaussian_rows,
+    _permutations,
+    _signs,
+)
 from invartest.noise import NoiseSpec, sample_noise
 from invartest.numerics import RngStream
 from invartest.statistics import batch_opnorm, make_statistic
@@ -471,12 +477,14 @@ class TestRunners:
         ("heavy_tail", dict(n=8, p=5, ks=(19,), dfs=(3, 5))),
         ("two_sample", dict(n=3, n2=3, K=99)),
         ("two_sample", dict(n=4, n2=4, K=99)),
+        ("two_sample", dict(n=2, n2=5, K=99, alpha=0.5)),
         ("lowrank", dict()),
         ("lowrank", dict(n=32, p=128)),
         ("lowrank", dict(n=128, p=32)),
         ("regression", dict(n=4, p=2, K=99, alpha=0.5)),
         ("regression", dict(n=6, p=3, K=39, alpha=0.5)),
-    ], ids=["sparse_vector", "sparse_vector_K99", "heavy_tail", "two_sample_n3", "two_sample_n4", "lowrank",
+    ], ids=["sparse_vector", "sparse_vector_K99", "heavy_tail", "two_sample_n3", "two_sample_n4",
+            "two_sample_n2_n5", "lowrank",
             "lowrank_wide", "lowrank_tall", "regression_n4", "regression_n6"])
     def test_unit_is_the_engine_test(self, monkeypatch, scenario, kwargs):
         # each unit's rejections, read from a one-unit chunk, against the
@@ -591,6 +599,43 @@ class TestRunners:
         assert any(first == 99 for first, _ in reads)
         assert any(first == 5 and size < 99 for first, size in reads)
 
+    def test_two_sample_values_are_the_mean_gaps_of_sorted_halves(self, monkeypatch):
+        # every permutation value, read where the unit decides, is bitwise the
+        # gap of its halves summed in index order, recomputed from the unit's
+        # own streams; a permutation that keeps the halves ties with t0
+        cfg = two_sample_config(13, n=4, n2=5, grid_points=3, replicates=20, K=99)
+        seen = _spy_on_decide(monkeypatch)
+        units = len(cfg.grid) * cfg.replicates
+        experiments._chunk(cfg, 0, units)
+        assert len(seen) == units
+        ties = 0
+        for u, (t0, vals) in enumerate(seen):
+            stream = RngStream(cfg.seed, u)
+            w = sample_noise(cfg.noise, stream.child(0))[:, 0]
+            w[cfg.n:] += cfg.grid[u // cfg.replicates]
+            centered = w - np.add.reduce(w) / w.size
+            perms = _permutations(cfg.parsed[0].K, w.size, stream.child(1).generator())
+            halves = np.concatenate([np.sort(perms[:, :cfg.n]), np.sort(perms[:, cfg.n:])], 1)
+            assert t0 == experiments._mean_gaps(centered, cfg.n)
+            assert vals.tobytes() == experiments._mean_gaps(centered[halves], cfg.n).tobytes(), u
+            ties += int(np.sum(vals == t0))
+        assert ties > 0
+
+    @pytest.mark.parametrize("factory", [sparse_vector_config, heavy_tail_config])
+    def test_signflip_all_equal_signs_tie_with_t0(self, monkeypatch, factory):
+        # with only all-equal sign vectors drawn, every signflip value is the
+        # identity's or the negation's, so each must equal t0 bitwise; the
+        # matrix product behind the values lands a few ulps off at n = 16
+        cfg = factory(5, n=16, ks=(19,), grid_points=2, replicates=1000)
+        cfg = dataclasses.replace(cfg, methods=tuple(
+            label for label in cfg.methods if label.startswith("signflip")))
+        monkeypatch.setattr(experiments, "_signs",
+                            lambda K, n, gen: np.repeat(_signs(K, 1, gen), n, axis=1))
+        seen = _spy_on_decide(monkeypatch)
+        experiments._chunk(cfg, 0, len(cfg.grid) * cfg.replicates)
+        assert len(seen) == len(cfg.grid) * cfg.replicates * len(cfg.methods)
+        assert all((vals == t0).all() for t0, vals in seen)
+
     def test_two_sample_t_test_unit_is_the_public_test(self):
         # each unit's t_test decision, read from a one-unit chunk, against
         # two_sample_t_test on the unit's own noise draw
@@ -605,6 +650,19 @@ class TestRunners:
             assert experiments._chunk(cfg, u, u + 1)[g, col] == expected
             rejections += expected
         assert 0 < rejections < 100
+
+
+def _spy_on_decide(monkeypatch) -> list:
+    """(t0, values) of every ``experiments.decide`` call from here on."""
+    seen = []
+    real_decide = experiments.decide
+
+    def spy(t0, vals, k):
+        seen.append((t0, vals.copy()))
+        return real_decide(t0, vals, k)
+
+    monkeypatch.setattr(experiments, "decide", spy)
+    return seen
 
 
 def _engine_tests(cfg, signal, gen):

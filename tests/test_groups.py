@@ -327,12 +327,24 @@ class TestRandomizeBatch:
             assert stats.ks_2samp(f(lazy), f(eager)).pvalue > 0.01
 
     def test_degenerate_qr_draw_is_redrawn(self):
+        # only a degenerate matrix is replaced, from the next matrices of the
+        # stream, so a draw of a frames then b frames is one draw of a + b;
+        # a row of the stub stream is one 3 x 3 matrix
+        a, b = 2, 3
+        for zero in [(), (0,), (1,), (2, 3), (1, 4, 5)]:
+            whole = _orthonormal_frames((a + b, 3, 3), _ZeroRowStream(9, zero, 41027))
+            stream = _ZeroRowStream(9, zero, 41027)
+            parts = [_orthonormal_frames((r, 3, 3), stream) for r in (a, b)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes(), zero
+            rows = np.delete(_ZeroRowStream(9, zero, 41027).rows, list(zero), axis=0)
+            q, _ = qr_orthonormalize(rows[:a + b].reshape(a + b, 3, 3))
+            assert whole.tobytes() == q.tobytes(), zero
+        # the action on a matrix takes the frames of the replaced draw
         x = RngStream(41026).generator().standard_normal((4, 3))
-        stub = _StubGenerator(RngStream(41027).generator(), zero_slot=1)
-        images = GroupAction("rotate_full", p=3).randomize_batch(x, 3, stub)
-        assert [d.shape for d in stub.draws] == [(3, 3, 3), (3, 3, 3)]
-        q, _ = qr_orthonormalize(stub.draws[1])
-        assert images.tobytes() == (x @ q.mT).tobytes()
+        images = GroupAction("rotate_full", p=3).randomize_batch(
+            x, a + b, _ZeroRowStream(9, (1,), 41027))
+        assert images.tobytes() == (x @ _orthonormal_frames(
+            (a + b, 3, 3), _ZeroRowStream(9, (1,), 41027)).mT).tobytes()
 
     def test_zero_norm_sphere_draw_is_redrawn(self):
         # only the zero row is replaced: the rows after it move up and one
