@@ -187,8 +187,6 @@ def _cmd_simulate(args) -> int:
     workers = args.workers if args.workers is not None else doc.get("workers")
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers < 1:
-        raise UsageError(f"workers must be >= 1, got {workers}")
     out = args.out if args.out is not None else doc.get("out")
     if out is None:
         out = f"{cfg.scenario}_power.csv"

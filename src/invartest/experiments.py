@@ -64,7 +64,6 @@ from .numerics import (
 )
 from .statistics import (
     _U,
-    batch_ols_linf,
     batch_opnorm,
     opnorm_shifts,
     sphere_opnorm_against,
@@ -166,6 +165,9 @@ class ScenarioConfig:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        for i, label in enumerate(self.methods):
+            if label in self.methods[:i]:
+                raise ValueError(f"method {label!r} is listed twice")
         if not all(map(math.isfinite, self.grid)):
             raise ValueError(f"grid values must be finite, got grid {self.grid}")
         if len(set(self.grid)) != len(self.grid):
@@ -313,16 +315,15 @@ class PowerCurve:
             parts = line.split(",")
             if len(parts) != 8:
                 raise ValueError(f"line {lineno}: expected 8 fields, got {len(parts)}")
-            rows.append(parts)
+            rows.append((lineno, parts))
         if not rows:
             raise ValueError("no data rows found")
-        scenario = rows[0][0]
-        seed = int(rows[0][7])
-        replicates = int(rows[0][3])
+        _, first = rows[0]
+        scenario, replicates, seed = first[0], int(first[3]), int(first[7])
         methods: list[str] = []
         grid: list[float] = []
         cells: dict[tuple[int, int], int] = {}
-        for parts in rows:
+        for lineno, parts in rows:
             if parts[0] != scenario:
                 raise ValueError("mixed scenarios in one file")
             if int(parts[3]) != replicates or int(parts[7]) != seed:
@@ -335,14 +336,14 @@ class PowerCurve:
                     raise ValueError("grid values out of order")
                 if signal not in grid:
                     grid.append(signal)
-            g = grid.index(signal)
-            m = methods.index(parts[1])
-            cells[(g, m)] = int(parts[4])
+            cell = grid.index(signal), methods.index(parts[1])
+            if cell in cells:
+                raise ValueError(f"line {lineno}: a second row for signal {parts[2]}, "
+                                 f"method {parts[1]!r}")
+            cells[cell] = int(parts[4])
         if len(cells) != len(grid) * len(methods):
             raise ValueError("incomplete grid x method table")
-        counts = np.zeros((len(grid), len(methods)), dtype=np.int64)
-        for (g, m), c in cells.items():
-            counts[g, m] = c
+        counts = [[cells[g, m] for m in range(len(methods))] for g in range(len(grid))]
         return cls(scenario, tuple(methods), tuple(grid), counts,
                    replicates, seed, notes)
 
@@ -501,41 +502,44 @@ def _sparse_setup(cfg: ScenarioConfig) -> tuple[float, dict]:
                    for df in dfs}
 
 
-def _decide_in_band(t0: float, vals: np.ndarray, k: int, delta: float, recompute) -> bool:
-    """``decide`` after the values within delta of t0 are replaced by
-    ``recompute(band)``, computed the way t0 is; each unit derives a delta
-    at least twice the rounding gap between its two ways of computing."""
-    band = np.abs(vals - t0) <= delta
+def _signflip_rejects(t0: float, m: np.ndarray, c: float, bound: float, meth, gen) -> bool:
+    """``decide`` on the K values max_j |sum_i s_i m_ij| / c of an n x p m, from
+    one matrix product of the drawn signs with m; t0 is the all-plus value with
+    the rows of m summed in order (``np.add.reduce`` over axis 0).
+
+    Each product s_i m_ij is exact, so two ways of computing a value differ only
+    in summation order: each of its p sums is off by at most (n - 1) u S' in any
+    order (S' = max_j sum_i |m_ij| <= ``bound``, u = 2^-53; Higham, Accuracy and
+    Stability, 2002, 3.1, to first order) and the division by c adds at most
+    u S' / c, so two ways differ by at most 2 n u S' / c. A value further than
+    that from t0 lies on the same side of t0 either way; those within
+    8 n u bound / c are recomputed as t0 is, and all-equal signs tie exactly."""
+    s = _signs(meth.K, len(m), gen)
+    vals = np.max(np.abs(s @ m), axis=1) / c
+    band = np.abs(vals - t0) <= 8.0 * len(m) * _U * bound / c
     if band.any():
-        vals[band] = recompute(band)
-    return decide(t0, vals, k)
+        vals[band] = np.max(np.abs(np.add.reduce(s[band, :, None] * m, axis=1)), axis=1) / c
+    return decide(t0, vals, meth.k)
 
 
 def _sparse_unit(cfg: ScenarioConfig, const, mu: float, noise, methods):
-    """A signflip value is max_j |sum_i s_i x_ij| / n. In any order each of
-    its p sums is off by at most (n - 1) u S to first order (S = max_j sum_i
-    |x_ij|, u = 2^-53; Higham, Accuracy and Stability, 2002, 3.1) and the
-    division adds at most u S / n, so two ways of computing a value differ
-    by at most 2 u S. A value further than that from t0 lies on the side of
-    its column means computed as t0's are (``ndarray.mean`` over the rows);
-    those within 8 u S are recomputed so, and all-equal signs tie exactly."""
+    """A signflip value is max_j |sum_i s_i x_ij| / n, decided by
+    ``_signflip_rejects`` with m = x, c = n and bound = max_j sum_i |x_ij|;
+    t0 is the max of the column means over the rows (``ndarray.mean``)."""
     t_det, specs = const
     drawn = {}
     for df, spec in specs.items():  # one matrix per df, drawn in sorted order
         x = sample_noise(spec, noise)
         x[:, 0] += mu
         c = x.mean(axis=0)
-        delta = 8.0 * _U * np.add.reduce(np.abs(x)).max()
-        drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c)), delta
+        bound = float(np.add.reduce(np.abs(x)).max())
+        drawn[df] = x, float(np.max(np.abs(c))), float(np.linalg.norm(c)), bound
     for meth, gen, first in methods:
-        x, t0, radius, delta = drawn[meth.df]
+        x, t0, radius, bound = drawn[meth.df]
         if meth.kind == "deterministic":
             yield t0 > t_det
         elif meth.kind == "signflip":
-            s = _signs(meth.K, cfg.n, gen)
-            vals = np.max(np.abs(s @ x), axis=1) / cfg.n
-            yield _decide_in_band(t0, vals, meth.k, delta, lambda band: np.max(
-                np.abs((s[band, :, None] * x).mean(axis=1)), axis=1))
+            yield _signflip_rejects(t0, x, cfg.n, bound, meth, gen)
         else:  # rotation acts on rows, hence on the column-mean vector
             # a Gaussian z over its norm is uniform on the sphere, so
             # max|z| / |z| * radius is the lazy image's sup norm; row blocks
@@ -613,27 +617,23 @@ def regression_design(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _regression_setup(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """The signal column, C-ordered pinv^T (its rows summed in order) and ||pinv||_inf."""
     design = regression_design(cfg)
     pinv = pseudo_inverse(design)
-    return design[:, 0], pinv, float(np.linalg.norm(pinv, np.inf))
+    return design[:, 0], np.ascontiguousarray(pinv.T), float(np.linalg.norm(pinv, np.inf))
 
 
 def _regression_unit(cfg: ScenarioConfig, const, tau: float, noise, methods):
-    """Each of the p sums of n products is off by at most gamma_n R <= 2 n u R
-    in any order (R = ||pinv||_inf ||y||_inf; Higham, 3.1). So a value further
-    than 4 n u R from t0 lies on the side of its stacked matrix-vector
-    product, bitwise t0's; those within 8 n u R are recomputed that way
-    (``batch_ols_linf``), and an all-equal sign vector ties exactly."""
-    column, pinv, pinv_norm = const
-    eps = sample_noise(cfg.noise, noise)[:, 0]
-    y = tau * column + eps
-    t0 = float(np.max(np.abs(pinv @ y)))
-    delta = 8.0 * cfg.n * _U * pinv_norm * np.max(np.abs(y))
+    """The OLS sup norm max_j |sum_i s_i pinv_ji y_i| of each sign vector,
+    decided by ``_signflip_rejects`` with m = pinv^T * y, c = 1 and bound =
+    ||pinv||_inf ||y||_inf; t0 is max_j |sum_i m_ij|, the column sums of m."""
+    column, pinv_t, pinv_norm = const
+    y = tau * column + sample_noise(cfg.noise, noise)[:, 0]
+    m = pinv_t * y[:, None]
+    t0 = float(np.max(np.abs(np.add.reduce(m, axis=0))))
+    bound = pinv_norm * float(np.max(np.abs(y)))
     for meth, gen, _ in methods:
-        b = _signs(meth.K, cfg.n, gen)
-        b *= y[None, :]
-        vals = np.max(np.abs(pinv @ b.T), axis=0)
-        yield _decide_in_band(t0, vals, meth.k, delta, lambda band: batch_ols_linf(b[band], pinv))
+        yield _signflip_rejects(t0, m, 1.0, bound, meth, gen)
 
 
 # one row per scenario: its config factory, the method kinds it accepts,
@@ -837,6 +837,8 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
     a margin below 1 records that the sufficient condition is not met at
     these dimensions, not that the test is invalid.
     """
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     counts = _run_units(cfg, workers)
     notes = _regression_margin_notes(cfg) if cfg.scenario == "regression" else {}
     return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,

@@ -528,6 +528,28 @@ class TestSimulateSubcommand:
         assert rc == 2
         assert err.startswith("error:") and "grid_high" in err
 
+    def test_repeated_method_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, scenario={
+            "name": "sparse_vector", "alpha": 0.05, "ks": [19, 19],
+            "grid_points": 2, "replicates": 20})
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "'signflip_K19' is listed twice" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, doc", [(["--workers", "0"], {}), ([], {"workers": -4})],
+                             ids=["flag", "config"])
+    def test_workers_below_one_named(self, tmp_path, capsys, flag, doc):
+        config = write_config(tmp_path, **doc)
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)] + flag)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "workers must be an integer >= 1, got" in err
+        assert not out.exists()
+
     def test_missing_config_file(self, capsys):
         assert cli.main(["simulate", "--config", "/nope/absent.json"]) == 2
 

@@ -273,6 +273,18 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValueError, match=r"'signflip_K19': k = 20 exceeds K = 19"):
             sparse_vector_config(3, alpha=0.01, ks=(19,))
 
+    @pytest.mark.parametrize("make, label", [
+        (lambda: sparse_vector_config(1, ks=(19, 19), grid_points=2, replicates=20),
+         "signflip_K19"),
+        (lambda: heavy_tail_config(1, dfs=(3, 3), grid_points=2, replicates=20),
+         "signflip_K19_t3"),
+    ], ids=["ks", "dfs"])
+    def test_repeated_method_label_named(self, make, label):
+        # two columns of one label would write two CSV rows per (signal,
+        # method), which from_csv refuses
+        with pytest.raises(ValueError, match=f"method '{label}' is listed twice"):
+            make()
+
     def test_k_equal_K_accepted(self):
         # alpha = 1/(K+1) is the max-test boundary k = K, still a valid test
         cfg = sparse_vector_config(3, alpha=0.05, ks=(19,))
@@ -366,6 +378,14 @@ class TestPowerCurve:
         with pytest.raises(ValueError, match="incomplete"):
             PowerCurve.from_csv(text)
 
+    def test_from_csv_repeated_row_named(self):
+        # a second count for one (signal, method) is refused, not kept over
+        # the first
+        row = "two_sample,t_test,%s,10,%d,0.1,0.09,7\n"
+        text = CSV_HEADER + "\n" + row % ("0", 1) + row % ("1", 2) + row % ("1", 3)
+        with pytest.raises(ValueError, match=r"line 4: a second row for signal 1, method 't_test'"):
+            PowerCurve.from_csv(text)
+
     def test_from_csv_empty(self):
         with pytest.raises(ValueError, match="no data"):
             PowerCurve.from_csv(CSV_HEADER + "\n")
@@ -450,6 +470,12 @@ class TestRunners:
         parallel = run_experiment(cfg, workers=2)
         assert serial == parallel
         assert serial.to_csv() == parallel.to_csv()
+
+    @pytest.mark.parametrize("workers", [0, -4, 2.5, True, "2"])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        cfg = two_sample_config(seed=1, grid_points=2, replicates=10, K=19)
+        with pytest.raises(ValueError, match=f"workers must be an integer >= 1, got {workers!r}"):
+            run_experiment(cfg, workers=workers)
 
     def test_single_chunk_runs_in_process(self, monkeypatch):
         cfg = two_sample_config(seed=90008, grid_points=2, replicates=50, K=19)
@@ -621,12 +647,18 @@ class TestRunners:
             ties += int(np.sum(vals == t0))
         assert ties > 0
 
-    @pytest.mark.parametrize("factory", [sparse_vector_config, heavy_tail_config])
-    def test_signflip_all_equal_signs_tie_with_t0(self, monkeypatch, factory):
+    @pytest.mark.parametrize("factory, kwargs", [
+        (sparse_vector_config, dict(n=16, ks=(19,))),
+        (heavy_tail_config, dict(n=16, ks=(19,))),
+        (regression_config, dict(K=19)),
+        (regression_config, dict(n=16, p=3, K=19)),
+    ], ids=["sparse_vector_config", "heavy_tail_config", "regression_config",
+            "regression_config_n16"])
+    def test_signflip_all_equal_signs_tie_with_t0(self, monkeypatch, factory, kwargs):
         # with only all-equal sign vectors drawn, every signflip value is the
         # identity's or the negation's, so each must equal t0 bitwise; the
-        # matrix product behind the values lands a few ulps off at n = 16
-        cfg = factory(5, n=16, ks=(19,), grid_points=2, replicates=1000)
+        # matrix product behind the values lands a few ulps off at these sizes
+        cfg = factory(5, grid_points=2, replicates=1000, **kwargs)
         cfg = dataclasses.replace(cfg, methods=tuple(
             label for label in cfg.methods if label.startswith("signflip")))
         monkeypatch.setattr(experiments, "_signs",
