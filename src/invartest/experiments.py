@@ -65,7 +65,6 @@ from .numerics import (
 from .statistics import (
     _U,
     batch_opnorm,
-    opnorm_shifts,
     sphere_opnorm_against,
 )
 from .theory import (
@@ -123,6 +122,14 @@ def _parse_method(label: str, alpha: float) -> _Method:
                    float(df) if df is not None else None)
 
 
+def _check_integer(name: str, value, low: int) -> None:
+    """Refuse a ``value`` of ``name`` that is a bool, not an integer or
+    below ``low``; a NumPy integer is an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a power experiment needs, minus the worker count.
@@ -149,12 +156,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        for name, low in (("n", 1), ("p", 1), ("replicates", 1), ("seed", 0), ("design_seed", 0)):
+            _check_integer(name, getattr(self, name), low)
+        if self.n2 is not None:
+            _check_integer("n2", self.n2, 1)
         if not self.grid:
             raise ValueError("signal grid must be nonempty")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if len(self.grid) * self.replicates > 2 ** 32:
             # a unit's stream id is one 32-bit word of its spawn key
             raise ValueError(
@@ -596,17 +603,25 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
     ``sphere_opnorm_against``, which forms only the images it cannot certify
     from the Gram of their draw. A value below t0 is one whose image, as
     ``_column_sphere_images`` gives it, has a ``batch_opnorm`` value below
-    t0."""
+    t0.
+
+    The orbit starts at one value whatever the previous decision, unlike a
+    sparse rotation's. At the shipped 50x50, K = 19 config, on grid points
+    2, 5, 10 and 19, where every unit rejects, a first block of 1 (five
+    calls) took 1082-1275 us per unit against 1354-1602 us for one block of
+    K (200 units a point, one BLAS thread, best of 5, two rounds). A block
+    of 19 holds 380 KB temporaries, which glibc's malloc gives fresh pages
+    on every call; with its trim and mmap thresholds raised, the two cost
+    about the same."""
     x = sample_noise(cfg.noise, noise) + tau * base
     t0 = float(batch_opnorm(x[None])[0])  # the opnorm statistic, as the engine's t0
     radii = np.linalg.norm(x, axis=0)  # the column norms every image takes
-    shifts = opnorm_shifts(t0, cfg.n, cfg.p)
     for meth, gen, _ in methods:
         # row blocks of the draw are prefixes of one draw of all K, so
         # stopping early leaves every drawn value as it was;
         # decide_stopping counts only which side of t0 each value lies on
         def orbit(b, gen=gen):
-            return sphere_opnorm_against(_column_gaussians(x.shape, b, gen), radii, t0, shifts)
+            return sphere_opnorm_against(_column_gaussians(x.shape, b, gen), radii, t0)
         yield decide_stopping(t0, orbit, meth.K, meth.k, 1)
 
 
@@ -665,10 +680,12 @@ def _chunk(cfg: ScenarioConfig, lo: int, hi: int) -> np.ndarray:
     children = [0] + [1 + m for m, meth in enumerate(cfg.parsed) if meth.K]
     gens = stream_generators(cfg.seed, [(u, c) for u in range(lo, hi)
                                         for c in children])
-    # each method's previous decision sets its first orbit block: after a
-    # reject, all K values, since a reject needs at least k and one block is
-    # cheapest; otherwise K - k + 1, the fewest that settle an accept. The
-    # block size never changes a decision, so the chunking does not either.
+    # each method's previous decision sets a sparse rotation's first orbit
+    # block: after a reject, all K values, since a reject needs at least k
+    # and one block of sphere rows is cheapest; otherwise K - k + 1, the
+    # fewest that settle an accept. Lowrank starts at 1, which costs it less
+    # (_lowrank_unit). The block size never changes a decision, so the
+    # chunking does not either.
     rejected = [False] * len(cfg.parsed)
     for u in range(lo, hi):
         g = u // cfg.replicates
@@ -837,8 +854,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
     a margin below 1 records that the sufficient condition is not met at
     these dimensions, not that the test is invalid.
     """
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _check_integer("workers", workers, 1)
     counts = _run_units(cfg, workers)
     notes = _regression_margin_notes(cfg) if cfg.scenario == "regression" else {}
     return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,

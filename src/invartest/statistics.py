@@ -28,7 +28,6 @@ __all__ = [
     "TestStatistic",
     "weighted_rows",
     "batch_opnorm",
-    "opnorm_shifts",
     "sphere_opnorm_against",
     "check_psi_subadditive",
     "make_statistic",
@@ -168,29 +167,15 @@ _U = 2.0 ** -53  # unit roundoff of a double
 _SAFE = 2.0 ** 450  # t0 and the squared column norms of a draw within [1/_SAFE, _SAFE]
 
 
-def opnorm_shifts(t0: float, n: int, p: int):
-    """The constants ``sphere_opnorm_against`` compares n x p images with,
-    for one t0: the row-sum bound t0^2 (1 - delta) and the shifted
-    identities t0^2 (1 -+ delta) I of size min(n, p); None for a t0 outside
-    [1/_SAFE, _SAFE]."""
-    if not 1.0 / _SAFE <= t0 <= _SAFE:
-        return None
-    delta = 32.0 * (n + p + 1) ** 2 * _U
-    eye = np.eye(min(n, p))
-    return t0 * t0 * (1.0 - delta), t0 * t0 * (1.0 - delta) * eye, t0 * t0 * (1.0 + delta) * eye
-
-
-def sphere_opnorm_against(z: np.ndarray, radii: np.ndarray, t0: float,
-                          shifts) -> np.ndarray:
+def sphere_opnorm_against(z: np.ndarray, radii: np.ndarray, t0: float) -> np.ndarray:
     """The ``opnorm`` value of each image ``groups._scale_columns(z, radii)``
     of a raw (K, n, p) normal draw z compared against t0: -inf where that
     value (``batch_opnorm``) is below t0, +inf where it is not, and the value
     itself in a near-tie. So ``values < t0`` is ``batch_opnorm(
     _scale_columns(z, radii)) < t0``, image by image, and only the near-tie
     images are formed. ``radii`` are the p column norms of the matrix the
-    images rotate, whose ``opnorm`` value is t0 in the power study, and
-    ``shifts`` is ``opnorm_shifts(t0, n, p)``, built once per t0. z is left
-    as it is.
+    images rotate, whose ``opnorm`` value is t0 in the power study. z is
+    left as it is.
 
     The image A has columns c_j z_j / ||z_j|| (c = radii). One Gram per
     image, of the smaller side, is read from the raw draw. For n >= p it is
@@ -275,15 +260,16 @@ def sphere_opnorm_against(z: np.ndarray, radii: np.ndarray, t0: float,
     per operation, which the slack in delta absorbs.
     """
     n, p = z.shape[1:]
-    if shifts is None or not radii.max() <= 2.0 * t0:
-        return batch_opnorm(_scale_columns(z.copy(), radii))
     if n >= p:
         h = z.mT @ z
         d = h.diagonal(axis1=1, axis2=2)
     else:
         d = np.einsum("kij,kij->kj", z, z)
-    if not (d.min() >= 1.0 / _SAFE and d.max() <= _SAFE):
+    if not (1.0 / _SAFE <= t0 <= _SAFE and radii.max() <= 2.0 * t0
+            and d.min() >= 1.0 / _SAFE and d.max() <= _SAFE):
         return batch_opnorm(_scale_columns(z.copy(), radii))
+    delta = 32.0 * (n + p + 1) ** 2 * _U
+    bound = t0 * t0 * (1.0 - delta)
     s = radii / np.sqrt(d)
     if n >= p:
         rows = s * (np.abs(h) @ s[..., None])[..., 0]
@@ -291,19 +277,24 @@ def sphere_opnorm_against(z: np.ndarray, radii: np.ndarray, t0: float,
         y = z * s[:, None, :]
         g = y @ y.mT
         rows = np.abs(g).sum(axis=2)
-    bound, below, above = shifts
     values = np.full(len(z), -np.inf)
     left = ~(rows.max(axis=1) < bound)
     if not left.any():
         return values
     left = np.flatnonzero(left)
-    grams = h[left] * s[left, :, None] * s[left, None, :] if n >= p else g[left]
+    # -G: a shift added to its diagonal gives shift I - G, entry for entry
+    grams = -(h[left] * s[left, :, None] * s[left, None, :] if n >= p else g[left])
+    above = t0 * t0 * (1.0 + delta)
+    step = min(n, p) + 1  # the diagonal of a flattened m x m matrix
     band = []
     for i, gram in zip(left, grams):
-        # the transpose is Fortran-ordered, so dpotrf works in place
-        if dpotrf((below - gram).T, overwrite_a=True)[1] == 0:
+        below = gram.copy()
+        below.reshape(-1)[::step] += bound
+        # the transposes are Fortran-ordered, so dpotrf works in place
+        if dpotrf(below.T, overwrite_a=True)[1] == 0:
             continue
-        if dpotrf((above - gram).T, overwrite_a=True)[1] == 0:
+        gram.reshape(-1)[::step] += above
+        if dpotrf(gram.T, overwrite_a=True)[1] == 0:
             band.append(i)
         else:
             values[i] = np.inf

@@ -505,6 +505,17 @@ class TestSimulateSubcommand:
         rc = cli.main(["simulate", "--config", str(config)])
         assert rc == 2
 
+    def test_negative_design_seed_named(self, tmp_path, capsys):
+        config = write_config(tmp_path, scenario={
+            "name": "regression", "alpha": 0.05, "replicates": 2, "grid_points": 2,
+            "design_seed": -1})
+        out = tmp_path / "curve.csv"
+        rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "design_seed must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
     def test_non_finite_grid_named(self, tmp_path, capsys):
         # json.load reads NaN; the config must still be refused
         config = write_config(

@@ -145,6 +145,28 @@ class TestScenarioConfigValidation:
         with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
             two_sample_config(seed=1.5)
 
+    @pytest.mark.parametrize("factory, key, value, message", [
+        (sparse_vector_config, "n", 32.5, "n must be an integer >= 1, got 32.5"),
+        (sparse_vector_config, "p", True, "p must be an integer >= 1, got True"),
+        (sparse_vector_config, "replicates", 2.5, "replicates must be an integer >= 1, got 2.5"),
+        (two_sample_config, "replicates", True, "replicates must be an integer >= 1, got True"),
+        (two_sample_config, "n2", True, "n2 must be an integer >= 1, got True"),
+        (two_sample_config, "n2", 8.0, "n2 must be an integer >= 1, got 8.0"),
+        (regression_config, "design_seed", -1, "design_seed must be a non-negative integer, got -1"),
+        (regression_config, "design_seed", 1.0, "design_seed must be a non-negative integer, got 1.0"),
+        (lowrank_config, "seed", True, "seed must be a non-negative integer, got True"),
+    ])
+    def test_integer_fields_refuse_bools_and_non_integers(self, factory, key, value, message):
+        kwargs = {"seed": 1, key: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            factory(**kwargs)
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = regression_config(np.int64(1), n=np.int32(40), p=np.int64(5),
+                                replicates=np.uint8(3), design_seed=np.int64(7))
+        assert (cfg.n, cfg.p, cfg.replicates, cfg.seed, cfg.design_seed) == (40, 5, 3, 1, 7)
+        assert two_sample_config(1, n=np.int64(6), n2=np.int64(7)).n2 == 7
+
     def test_units_fit_one_key_word(self):
         # 2 grid points x 2**31 replicates is exactly 2**32 units, the limit
         assert two_sample_config(seed=1, grid_points=2, replicates=2**31).replicates == 2**31

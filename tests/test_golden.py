@@ -6,9 +6,13 @@ decision rule shows up here. A change that alters these bytes on purpose
 records new digests and says so in CHANGES.md.
 """
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
+import platform
 import subprocess
 import sys
 from dataclasses import replace
@@ -22,7 +26,7 @@ from invartest import experiments as exp
 from invartest.engine import RandTestConfig, run_randomization_test
 from invartest.groups import GroupAction
 from invartest.numerics import RngStream
-from invartest.statistics import TestStatistic
+from invartest.statistics import TestStatistic, make_statistic
 
 # small fixed configs whose grids sit where the power curves rise, so that
 # most cells are neither 0 nor all replicates
@@ -99,19 +103,27 @@ def csv_digest(scenario: str) -> str:
     return hashlib.sha256(csv.encode()).hexdigest()
 
 
-def _fresh_interpreter_env(threads: str) -> dict:
+def digests() -> dict:
+    return {s: csv_digest(s) for s in GOLDEN_CONFIGS}
+
+
+def _fresh_interpreter_env(threads: str, **extra) -> dict:
     """The environment of a fresh interpreter, which imports this invartest
     and these test modules and reads its OpenBLAS thread count at load."""
     paths = [os.path.dirname(os.path.dirname(invartest.__file__)),
              os.path.dirname(__file__), os.environ.get("PYTHONPATH", "")]
     return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                PYTHONPATH=os.pathsep.join(filter(None, paths)))
+                PYTHONPATH=os.pathsep.join(filter(None, paths)), **extra)
 
 
-_DIGESTS_SCRIPT = (
-    "import json, test_golden as g; "
-    "print(json.dumps({s: g.csv_digest(s) for s in g.GOLDEN_CONFIGS}))"
-)
+def _in_fresh_interpreter(call: str, env: dict, *args):
+    """``test_golden.<call>(*args)`` in a fresh interpreter with environment
+    ``env``, through JSON, and that interpreter's stderr."""
+    script = ("import json, sys, test_golden as g; "
+              f"print(json.dumps(g.{call}(*json.loads(sys.argv[1]))))")
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(args)], env=env,
+                            capture_output=True, text=True, check=True, timeout=600)
+    return json.loads(result.stdout), result.stderr
 
 
 class TestGoldenPowerCurves:
@@ -121,10 +133,7 @@ class TestGoldenPowerCurves:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_digests_do_not_depend_on_blas_threads(self, threads):
-        result = subprocess.run([sys.executable, "-c", _DIGESTS_SCRIPT],
-                                env=_fresh_interpreter_env(threads),
-                                capture_output=True, text=True, check=True, timeout=600)
-        assert json.loads(result.stdout) == GOLDEN_SHA256
+        assert _in_fresh_interpreter("digests", _fresh_interpreter_env(threads))[0] == GOLDEN_SHA256
 
     def test_regression_notes(self):
         notes = exp.run_experiment(GOLDEN_CONFIGS["regression"]()).notes
@@ -135,6 +144,15 @@ class TestGoldenPowerCurves:
 
 _TEST_PREAMBLE = "data 10x4, statistic {stat}, group {group}, K=19, alpha=0.05, seed 3107\n"
 _K_LINE = "k = 19 (rejection needs at least k of the K+1 values strictly below t0)\n"
+
+# the opnorm t0 that invartest test prints is the root of LAPACK's top
+# eigenvalue, whose last bits depend on the OpenBLAS kernel: this value under
+# SkylakeX, 5.5326327847000014 under Haswell, Sandybridge and Nehalem. So that
+# line is checked against the opnorm statistic computed where it was printed,
+# and against this value within batch_opnorm's accuracy, (n p + m^2 + 2) u at
+# 10x4 (statistics.sphere_opnorm_against derives it); every other line is exact
+GOLDEN_OPNORM_T0 = 5.5326327847000032
+OPNORM_T0_RTOL = (10 * 4 + 4 ** 2 + 2) * 2.0 ** -53
 
 GOLDEN_TEST_STDOUT = {
     "signflip": (
@@ -198,11 +216,13 @@ def wide_matrix(tmp_path):
     return _write_matrix(tmp_path / "wide.csv", data)
 
 
+def _argv(path, stat, group, seed, K=19):
+    return ["test", "--data", str(path), "--stat", stat, "--group", group,
+            "--K", str(K), "--alpha", "0.05", "--seed", str(seed)]
+
+
 def _run_test(path, stat, group, seed, capsys):
-    rc = cli.main(
-        ["test", "--data", str(path), "--stat", stat,
-         "--group", group, "--K", "19", "--alpha", "0.05", "--seed", str(seed)]
-    )
+    rc = cli.main(_argv(path, stat, group, seed))
     captured = capsys.readouterr()
     assert rc == 0
     # stderr holds the two orbit diagnostic lines (ties; min, median, max),
@@ -211,20 +231,54 @@ def _run_test(path, stat, group, seed, capsys):
     return captured.out
 
 
-def _run_test_in_fresh_interpreter(path, stat, group, K, seed, threads):
-    argv = ["test", "--data", str(path), "--stat", stat, "--group", group,
-            "--K", str(K), "--alpha", "0.05", "--seed", str(seed)]
-    result = subprocess.run([sys.executable, "-m", "invartest.cli", *argv],
-                            env=_fresh_interpreter_env(threads),
-                            capture_output=True, text=True, check=True, timeout=600)
-    return result.stdout
+def opnorm_t0(path) -> float:
+    data = cli._read_data_matrix(str(path))
+    return make_statistic("opnorm", sample_shape=data.shape)(data)
+
+
+def run_command(argv) -> tuple[str, float | None]:
+    """The stdout of ``invartest test`` on argv and, for the opnorm
+    statistic, its value on the data, both from this interpreter."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    opnorm = argv[argv.index("--stat") + 1] == "opnorm"
+    return out.getvalue(), opnorm_t0(argv[argv.index("--data") + 1]) if opnorm else None
+
+
+def run_commands(runs) -> list:
+    return [run_command(argv) for argv in runs]
+
+
+def golden_outputs(data, wide) -> tuple[dict, dict]:
+    """The ten digests, and ``run_command`` of each of the five pinned
+    commands on the matrices at paths ``data`` and ``wide``."""
+    runs = {group: run_command(_argv(data, stat, group, 3107))
+            for group, (stat, _) in GOLDEN_TEST_STDOUT.items()}
+    runs["wide_rotation"] = run_command(_argv(wide, "colmean_linf", "rotation", 3110))
+    return digests(), runs
+
+
+def assert_pinned(out: str, expected: str, t0: float | None = None) -> None:
+    """``out`` is ``expected``; for opnorm (``t0`` its value, from the
+    interpreter that printed ``out``) the t0 line is instead t0 bitwise, and
+    within OPNORM_T0_RTOL of GOLDEN_OPNORM_T0."""
+    if t0 is None:
+        assert out == expected
+        return
+    lines, pinned = out.splitlines(keepends=True), expected.splitlines(keepends=True)
+    assert lines[0] == pinned[0] and lines[2:] == pinned[2:]
+    assert pinned[1] == f"t0 = {GOLDEN_OPNORM_T0:.17g}\n"
+    assert lines[1] == f"t0 = {t0:.17g}\n"
+    assert abs(t0 - GOLDEN_OPNORM_T0) <= OPNORM_T0_RTOL * GOLDEN_OPNORM_T0
 
 
 class TestGoldenTestCommand:
     @pytest.mark.parametrize("group", sorted(GOLDEN_TEST_STDOUT))
     def test_stdout(self, group, golden_matrix, capsys):
         stat, expected = GOLDEN_TEST_STDOUT[group]
-        assert _run_test(golden_matrix, stat, group, 3107, capsys) == expected
+        t0 = opnorm_t0(golden_matrix) if stat == "opnorm" else None
+        assert_pinned(_run_test(golden_matrix, stat, group, 3107, capsys), expected, t0)
 
     def test_wide_rotation_stdout(self, wide_matrix, capsys):
         out = _run_test(wide_matrix, "colmean_linf", "rotation", 3110, capsys)
@@ -236,12 +290,81 @@ class TestGoldenTestCommand:
         # evaluates them in blocks of 10 images
         data = np.random.Generator(np.random.PCG64(3112)).standard_normal((32, 100))
         large = _write_matrix(tmp_path / "large.csv", data)
-        outs = [[_run_test_in_fresh_interpreter(path, "opnorm", "rotation_per_column",
-                                                K, 3107, threads)
-                 for path, K in ((golden_matrix, 19), (large, 99))]
+        runs = [_argv(path, "opnorm", "rotation_per_column", 3107, K)
+                for path, K in ((golden_matrix, 19), (large, 99))]
+        outs = [_in_fresh_interpreter("run_commands", _fresh_interpreter_env(threads), runs)[0]
                 for threads in ("1", "2")]
-        assert outs[0][0] == GOLDEN_TEST_STDOUT["rotation_per_column"][1]
+        (out, t0), _ = outs[0]
+        assert_pinned(out, GOLDEN_TEST_STDOUT["rotation_per_column"][1], t0)
         assert outs[1] == outs[0]
+
+
+# OpenBLAS core types and the CPU flag each needs, newest first
+_CORETYPES = (("SkylakeX", "avx512f"), ("Haswell", "avx2"), ("Sandybridge", "avx"),
+              ("Nehalem", "sse4_2"))
+
+
+def _named_cores(stderr: str) -> list[str]:
+    """The core each OpenBLAS loaded under OPENBLAS_VERBOSE=2 names: NumPy
+    and SciPy bundle one each, and each prints one ``Core:`` line."""
+    return [line.partition(":")[2].strip() for line in stderr.splitlines()
+            if line.startswith("Core:")]
+
+
+@functools.cache
+def _host() -> tuple[str, set[str], set[str]]:
+    """Why no core type can be forced here (empty if one can), the cores
+    OpenBLAS picks for this CPU, and the CPU's flags."""
+    if sys.platform != "linux" or platform.machine() != "x86_64":
+        return "OPENBLAS_CORETYPE is checked on Linux x86-64 only", set(), set()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    if "openblas" not in blas:
+        return f"NumPy's BLAS is {blas}, not OpenBLAS", set(), set()
+    with open("/proc/cpuinfo") as info:
+        flags = {flag for line in info if line.startswith("flags")
+                 for flag in line.split(":", 1)[1].split()}
+    probe = subprocess.run([sys.executable, "-c", "import numpy, scipy.linalg"],
+                           env=dict(os.environ, OPENBLAS_VERBOSE="2"),
+                           capture_output=True, text=True, check=True, timeout=600)
+    return "", set(_named_cores(probe.stderr)), flags
+
+
+def _skip_reason(core: str) -> str:
+    """Empty if ``core`` is one of the first two core types of _CORETYPES
+    that this CPU can run, other than the one OpenBLAS picks for it."""
+    why, host, flags = _host()
+    needs = dict(_CORETYPES)[core]
+    if why:
+        return why
+    if core in host:
+        return f"{core} is the core OpenBLAS picks here, which every other test runs"
+    if needs not in flags:
+        return f"this CPU lacks {needs}, which {core} needs"
+    others = [c for c, flag in _CORETYPES if flag in flags and c not in host]
+    return "" if core in others[:2] else f"two other core types run before {core}"
+
+
+class TestGoldenAcrossBlasKernels:
+    """The ten digests and the five stdout pins under OpenBLAS kernels this
+    CPU can run other than its own, forced per process by
+    OPENBLAS_CORETYPE. The kernels run are the first two of _CORETYPES the
+    CPU has, whatever they print."""
+
+    @pytest.mark.parametrize("core", [core for core, _ in _CORETYPES])
+    def test_pins_hold_under_another_kernel(self, core, golden_matrix, wide_matrix):
+        why = _skip_reason(core)
+        if why:
+            pytest.skip(why)
+        env = _fresh_interpreter_env("1", OPENBLAS_CORETYPE=core, OPENBLAS_VERBOSE="2")
+        (sha256, runs), err = _in_fresh_interpreter("golden_outputs", env, str(golden_matrix),
+                                                    str(wide_matrix))
+        if set(_named_cores(err)) != {core}:
+            pytest.skip(f"OPENBLAS_CORETYPE={core} gave the cores {_named_cores(err)}")
+        assert sha256 == GOLDEN_SHA256
+        for group, (_, expected) in GOLDEN_TEST_STDOUT.items():
+            out, t0 = runs[group]
+            assert_pinned(out, expected, t0)
+        assert_pinned(runs["wide_rotation"][0], GOLDEN_WIDE_ROTATION_STDOUT)
 
 
 # rotate_full on a 4x10 matrix with a statistic that declares no summary,
