@@ -5,6 +5,11 @@ its CSV; ``test`` applies a randomization test to a data file; ``theory``
 evaluates the closed-form quantities; ``validate`` runs the self-check
 suite.  Exit codes are 0 (success), 1 (runtime or validation failure), and
 2 (usage or configuration error); nothing else.
+
+The CLI checks only the shape of its input (a JSON object of known keys,
+lists where lists belong, a numeric data table); the library function that
+reads each value checks it, so ``"replicates": 2.5`` is refused there as
+``replicates must be an integer >= 1, got 2.5``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 from . import experiments as exp
 from .engine import RandTestConfig, run_randomization_test
 from .groups import GroupAction
-from .numerics import RngStream
+from .numerics import RngStream, check_integer
 from .statistics import make_statistic
 from .theory import (
     REAL_FIELDS,
@@ -91,28 +96,13 @@ def _parser() -> argparse.ArgumentParser:
 def _resolve_seed(flag_seed, config_seed) -> int:
     """Flag beats config; with neither, draw from entropy (the caller prints
     the chosen value so the run can be reproduced)."""
-    if flag_seed is not None:
-        return int(flag_seed)
-    if config_seed is not None:
-        return int(config_seed)
-    return int(np.random.SeedSequence().entropy)
+    seed = flag_seed if flag_seed is not None else config_seed
+    seed = np.random.SeedSequence().entropy if seed is None else seed
+    check_integer("seed", seed, 0)
+    return seed
 
 
 _TOP_LEVEL_KEYS = {"scenario", "out", "seed", "workers"}
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: not a float (2.0 included) and not a boolean."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_integers(values: dict) -> None:
-    """Raise a UsageError naming the first key whose value is set but not
-    an integer."""
-    for key, value in values.items():
-        if value is not None and not _is_int(value):
-            raise UsageError(f"config key {key!r} must be an integer, "
-                             f"got {json.dumps(value)}")
 
 
 def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dict]:
@@ -140,7 +130,7 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
         raise UsageError(f"unknown scenario name {name!r}; "
                          f"choose from {', '.join(exp.SCENARIOS)}")
     factory = exp._SCENARIO_ROWS[name].factory
-    params = inspect.signature(factory, eval_str=True).parameters
+    params = inspect.signature(factory).parameters
     allowed = (set(params) | {"name"}) - {"seed"}  # the seed is top-level
     unknown = set(section) - allowed
     if unknown:
@@ -148,14 +138,12 @@ def _load_scenario_config(path: str, flag_seed) -> tuple[exp.ScenarioConfig, dic
                          f"(scenario {name!r})")
     if "alpha" not in section:
         raise UsageError("scenario section is missing required key 'alpha'")
-    _check_integers({"seed": doc.get("seed"), "workers": doc.get("workers")})
     seed = _resolve_seed(flag_seed, doc.get("seed"))
     kwargs = {k: v for k, v in section.items() if k != "name"}
-    _check_integers({k: v for k, v in kwargs.items() if params[k].annotation is int})
     for key in ("ks", "dfs"):
         if key in kwargs:
-            if not (isinstance(kwargs[key], list) and all(map(_is_int, kwargs[key]))):
-                raise UsageError(f"config key {key!r} must be a list of integers, "
+            if not isinstance(kwargs[key], list):
+                raise UsageError(f"config key {key!r} must be a list, "
                                  f"got {json.dumps(kwargs[key])}")
             kwargs[key] = tuple(kwargs[key])
     try:
@@ -335,16 +323,15 @@ def _parse_kv(tokens: list[str]) -> tuple[list[str], dict]:
     return bare, kv
 
 
-def _take(kv: dict, key: str, kind, *, required=True, default=None):
+def _take(kv: dict, key: str, kind=None, *, required=True, default=None):
+    """Pop key's value, converted by kind; with none, as parsed (a count)."""
     if key not in kv:
         if required:
             raise UsageError(f"missing parameter {key!r}")
         return default
     value = kv.pop(key)
-    if kind is int and not _is_int(value):
-        raise UsageError(f"parameter {key!r} must be an integer, got {value!r}")
     try:
-        return kind(value)
+        return value if kind is None else kind(value)
     except (TypeError, ValueError) as e:
         raise UsageError(f"parameter {key!r}: {e}") from e
 
@@ -357,8 +344,8 @@ def _reject_leftover(kv: dict) -> None:
 def _theory_varl_sparse(bare, kv) -> None:
     if bare:
         raise UsageError(f"unexpected argument {bare[0]!r}")
-    n = _take(kv, "n", int)
-    p = _take(kv, "p", int)
+    n = _take(kv, "n")
+    p = _take(kv, "p")
     chi2 = _take(kv, "chi2", float, required=False)
     tau = _take(kv, "tau", float, required=False)
     _reject_leftover(kv)
@@ -377,7 +364,7 @@ def _theory_varl_sparse(bare, kv) -> None:
 def _theory_varl_lowrank(bare, kv) -> None:
     if bare:
         raise UsageError(f"unexpected argument {bare[0]!r}")
-    n = _take(kv, "n", int)
+    n = _take(kv, "n")
     tau = _take(kv, "tau", float)
     _reject_leftover(kv)
     value = varL_lowrank_exact(n, tau)
@@ -395,7 +382,7 @@ def _theory_margin(bare, kv) -> None:
         if value is not None:
             fields[key] = value
     for key in ("n", "p"):
-        value = _take(kv, key, int, required=False)
+        value = _take(kv, key, required=False)
         if value is not None:
             fields[key] = value
     _reject_leftover(kv)
@@ -417,8 +404,8 @@ def _theory_bernoulli(bare, kv) -> None:
         raise UsageError(f"kind must be 'design' or 'regression', got {kind!r}")
     data = _take(kv, "data", str)
     el = _take(kv, "l", float)
-    mc = _take(kv, "mc", int, required=False, default=2000)
-    seed = _take(kv, "seed", int, required=False)
+    mc = _take(kv, "mc", required=False, default=2000)
+    seed = _take(kv, "seed", required=False)
     eps = _take(kv, "eps", float, required=False, default=1.0)
     _reject_leftover(kv)
     x = _read_data_matrix(data)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupAction
-from .numerics import RngStream, as_generator, as_matrix
+from .numerics import RngStream, as_generator, as_matrix, check_integer
 from .statistics import _BLOCK_VALUES, TestStatistic, weighted_rows
 
 __all__ = [
@@ -53,7 +53,8 @@ class RandTestConfig:
     alpha: float
 
     def __post_init__(self):
-        order_index(self.K, self.alpha)  # raises on K < 1 or alpha outside (0, 1)
+        check_integer("K", self.K, 1)
+        order_index(self.K, self.alpha)  # raises on alpha outside (0, 1)
 
 
 @dataclass(frozen=True)

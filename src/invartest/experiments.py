@@ -57,6 +57,7 @@ from .groups import _column_gaussians, _gaussian_rows, _permutations, _signs
 from .noise import NoiseSpec, heteroskedastic_mean_abs, sample_noise
 from .numerics import (
     RngStream,
+    check_integer,
     normal_quantile,
     pseudo_inverse,
     stream_generators,
@@ -122,21 +123,12 @@ def _parse_method(label: str, alpha: float) -> _Method:
                    float(df) if df is not None else None)
 
 
-def _check_integer(name: str, value, low: int) -> None:
-    """Refuse a ``value`` of ``name`` that is a bool, not an integer or
-    below ``low``; a NumPy integer is an integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a power experiment needs, minus the worker count.
 
     The master seed lives here so that (config, seed) fully determines the
-    output; design_seed fixes the regression design matrix independently of
-    the replicate streams. ``parsed`` holds the methods' parses, in method
+    output. ``parsed`` holds the methods' parses, in method
     order; it is derived from methods and alpha, so ``replace`` parses again.
     """
 
@@ -150,16 +142,15 @@ class ScenarioConfig:
     alpha: float
     replicates: int
     seed: int
-    design_seed: int = 12345
     parsed: tuple[_Method, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        for name, low in (("n", 1), ("p", 1), ("replicates", 1), ("seed", 0), ("design_seed", 0)):
-            _check_integer(name, getattr(self, name), low)
+        for name, low in (("n", 1), ("p", 1), ("replicates", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
         if self.n2 is not None:
-            _check_integer("n2", self.n2, 1)
+            check_integer("n2", self.n2, 1)
         if not self.grid:
             raise ValueError("signal grid must be nonempty")
         if len(self.grid) * self.replicates > 2 ** 32:
@@ -240,6 +231,8 @@ class PowerCurve:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_integer("replicates", self.replicates, 1)
+        check_integer("seed", self.seed, 0)
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.counts.shape != (len(self.grid), len(self.methods)):
             raise ValueError(
@@ -329,13 +322,15 @@ class PowerCurve:
         scenario, replicates, seed = first[0], int(first[3]), int(first[7])
         methods: list[str] = []
         grid: list[float] = []
-        cells: dict[tuple[int, int], int] = {}
+        cells: dict[tuple[int, int], tuple[int, list[str]]] = {}
         for lineno, parts in rows:
             if parts[0] != scenario:
                 raise ValueError("mixed scenarios in one file")
             if int(parts[3]) != replicates or int(parts[7]) != seed:
                 raise ValueError("inconsistent reps or seed across rows")
             signal = float(parts[2])
+            if not math.isfinite(signal):
+                raise ValueError(f"line {lineno}: signal {parts[2]} is not finite")
             if parts[1] not in methods:
                 methods.append(parts[1])
             if not grid or signal != grid[-1]:
@@ -347,12 +342,25 @@ class PowerCurve:
             if cell in cells:
                 raise ValueError(f"line {lineno}: a second row for signal {parts[2]}, "
                                  f"method {parts[1]!r}")
-            cells[cell] = int(parts[4])
+            cells[cell] = lineno, parts
         if len(cells) != len(grid) * len(methods):
             raise ValueError("incomplete grid x method table")
-        counts = [[cells[g, m] for m in range(len(methods))] for g in range(len(grid))]
-        return cls(scenario, tuple(methods), tuple(grid), counts,
-                   replicates, seed, notes)
+        counts = [[int(cells[g, m][1][4]) for m in range(len(methods))]
+                  for g in range(len(grid))]
+        curve = cls(scenario, tuple(methods), tuple(grid), counts, replicates, seed, notes)
+        # power and se are functions of the count, written by %.17g, which
+        # round-trips; a field that parses to another value is refused
+        power, se = curve.power, curve.se
+        for (g, m), (lineno, parts) in cells.items():
+            for name, raw, value in (("power", parts[5], power[g, m]), ("se", parts[6], se[g, m])):
+                try:
+                    ok = float(raw) == value
+                except ValueError:
+                    ok = False
+                if not ok:
+                    raise ValueError(f"line {lineno}: {name} {raw!r} is not {value:.17g}, "
+                                     f"the value of {parts[4]} rejections in {replicates}")
+        return curve
 
     @classmethod
     def load_csv(cls, path) -> "PowerCurve":
@@ -364,6 +372,7 @@ class PowerCurve:
 # default configurations
 
 def _signal_grid(high: float, points: int) -> tuple[float, ...]:
+    check_integer("grid_points", points, 1)
     if not math.isfinite(high):  # np.linspace would warn and fill the grid with nan
         raise ValueError(f"grid_high must be finite, got {high}")
     return tuple(float(v) for v in np.linspace(0.0, high, points))
@@ -380,6 +389,8 @@ def sparse_vector_config(
     ks: tuple[int, ...] = (19, 99),
 ) -> ScenarioConfig:
     """Sparse location scenario: X = 1 s^T + N with s = mu e1, iid normal N."""
+    for k in ks:
+        check_integer("each entry of ks", k, 1)
     methods = ["deterministic"]
     methods += [f"signflip_K{k}" for k in ks]
     methods += [f"rotation_K{k}" for k in ks]
@@ -409,6 +420,8 @@ def heavy_tail_config(
     for key, values in (("dfs", dfs), ("ks", ks)):
         if not values:
             raise ValueError(f"heavy_tail needs at least one entry in {key!r}")
+        for value in values:
+            check_integer(f"each entry of {key}", value, 1)
     methods = [f"signflip_K{k}_t{df}" for df in dfs for k in ks]
     return ScenarioConfig(
         scenario="heavy_tail",
@@ -432,6 +445,8 @@ def two_sample_config(
     K: int = 99,
 ) -> ScenarioConfig:
     """Two Gaussian samples shifted by mu; permutation test versus t-test."""
+    for name, value in (("n", n), ("n2", n2), ("K", K)):  # n + n2 sizes the noise
+        check_integer(name, value, 1)
     return ScenarioConfig(
         scenario="two_sample",
         n=n, p=1, n2=n2,
@@ -453,14 +468,15 @@ def lowrank_config(
     alpha: float = 0.05,
     K: int = 19,
 ) -> ScenarioConfig:
-    """Rank-one matrix signal sqrt(n/2) tau u v^T against per-column rotations."""
-    if grid_high is None:
-        grid_high = 6.0 * math.sqrt(n)
+    """Rank-one matrix signal sqrt(n/2) tau u v^T against per-column rotations;
+    grid_high defaults to 6 sqrt(n)."""
+    check_integer("K", K, 1)
     return ScenarioConfig(
         scenario="lowrank",
         n=n, p=p, n2=None,
-        noise=NoiseSpec("iid_normal", n, p),
-        grid=_signal_grid(grid_high, grid_points),
+        noise=NoiseSpec("iid_normal", n, p),  # checks n before the grid reads it
+        grid=_signal_grid(6.0 * math.sqrt(n) if grid_high is None else grid_high,
+                          grid_points),
         methods=(f"rotation_K{K}",),
         alpha=alpha, replicates=replicates, seed=seed,
     )
@@ -476,9 +492,9 @@ def regression_config(
     replicates: int = 500,
     alpha: float = 0.05,
     K: int = 99,
-    design_seed: int = 12345,
 ) -> ScenarioConfig:
     """Fixed Gaussian design, beta = tau e1, heteroskedastic symmetric noise."""
+    check_integer("K", K, 1)
     return ScenarioConfig(
         scenario="regression",
         n=n, p=p, n2=None,
@@ -486,7 +502,6 @@ def regression_config(
         grid=_signal_grid(grid_high, grid_points),
         methods=(f"signflip_K{K}",),
         alpha=alpha, replicates=replicates, seed=seed,
-        design_seed=design_seed,
     )
 
 
@@ -626,8 +641,9 @@ def _lowrank_unit(cfg: ScenarioConfig, base: np.ndarray, tau: float, noise, meth
 
 
 def regression_design(cfg: ScenarioConfig) -> np.ndarray:
-    """The scenario's fixed design matrix, a function of design_seed only."""
-    gen = RngStream(cfg.design_seed, 0).generator()
+    """The scenario's fixed design matrix, a function of n and p only: its
+    seed, 12345, is apart from the replicate streams."""
+    gen = RngStream(12345, 0).generator()
     return gen.standard_normal((cfg.n, cfg.p))
 
 
@@ -854,7 +870,7 @@ def run_experiment(cfg: ScenarioConfig, workers: int = 1) -> PowerCurve:
     a margin below 1 records that the sufficient condition is not met at
     these dimensions, not that the test is invalid.
     """
-    _check_integer("workers", workers, 1)
+    check_integer("workers", workers, 1)
     counts = _run_units(cfg, workers)
     notes = _regression_margin_notes(cfg) if cfg.scenario == "regression" else {}
     return PowerCurve(cfg.scenario, cfg.methods, cfg.grid, counts,

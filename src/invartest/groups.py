@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, as_generator, qr_orthonormalize
+from .numerics import RngStream, as_generator, check_integer, qr_orthonormalize
 
 __all__ = ["GroupAction", "KINDS"]
 
@@ -71,12 +71,9 @@ class GroupAction:
         if self.kind not in KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
         if self.kind in ("signflip_rows", "permute_rows", "rotate_per_column"):
-            if self.n is None or self.n < 1:
-                raise ValueError(f"{self.kind} needs n >= 1")
-        if self.kind == "rotate_full" and (self.p is None or self.p < 1):
-            raise ValueError("rotate_full needs p >= 1")
-        if self.kind == "rotate_per_column" and self.p is not None and self.p < 1:
-            raise ValueError(f"rotate_per_column needs p >= 1 columns, got p = {self.p}")
+            check_integer("n", self.n, 1)
+        if self.kind == "rotate_full" or (self.kind == "rotate_per_column" and self.p is not None):
+            check_integer("p", self.p, 1)
 
     def randomize(
         self, x: np.ndarray, rng: RngStream | np.random.Generator

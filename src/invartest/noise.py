@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, as_generator, sample_chi2, sample_f
+from .numerics import RngStream, as_generator, check_integer, sample_chi2, sample_f
 
 __all__ = ["NoiseSpec", "heteroskedastic_mean_abs", "sample_noise"]
 
@@ -52,8 +52,8 @@ class NoiseSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}")
-        if self.n < 1 or self.p < 1:
-            raise ValueError("dimensions must be >= 1")
+        check_integer("n", self.n, 1)
+        check_integer("p", self.p, 1)
         if self.radial not in (RADIAL_LAWS if self.family == "spherical" else ("normal",)):
             raise ValueError(f"{self.family} noise does not take radial={self.radial!r}")
         law = (f"the {self.radial} radial law" if self.family == "spherical"

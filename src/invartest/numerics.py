@@ -15,6 +15,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 __all__ = [
+    "check_integer",
     "RngStream",
     "stream_generators",
     "as_generator",
@@ -29,6 +30,15 @@ __all__ = [
     "sample_chi2",
     "sample_f",
 ]
+
+
+def check_integer(name: str, value, low: int) -> None:
+    """Refuse a ``value`` of ``name`` that is a bool, not an integer or
+    below ``low``, naming both; a NumPy integer is an integer. The package's
+    one rule for a count, applied by the function that reads it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        what = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +113,8 @@ def stream_generators(seed: int, keys) -> Iterator[np.random.Generator]:
     key), so NumPy's ``SeedSequence(seed).pool`` mixes it; only the key
     words are mixed here, as array arithmetic.
     """
+    check_integer("seed", seed, 0)
     seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     keys = np.asarray(keys)
     if keys.ndim != 2:
         raise ValueError(f"keys must be an (n, length) array, got ndim={keys.ndim}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _signs
-from .numerics import RngStream, as_generator, as_matrix, as_vector, pseudo_inverse
+from .numerics import RngStream, as_generator, as_matrix, as_vector, check_integer, pseudo_inverse
 
 __all__ = [
     "BernoulliBound",
@@ -59,8 +59,8 @@ def varL_sparse(n: int, p: int, chi2: float) -> float:
 
     Returns +infinity when n * log1p(chi2) exceeds the exp range.
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    check_integer("n", n, 1)
+    check_integer("p", p, 1)
     if not chi2 >= 0:  # NaN fails too
         raise ValueError(f"chi2 must be >= 0, got {chi2}")
     exponent = n * math.log1p(chi2)
@@ -76,7 +76,8 @@ def varL_lowrank_exact(n: int, tau: float) -> float:
     The inner product depends only on the number of agreeing coordinates, so
     the 4^n pairs collapse to n + 1 binomial terms.
     """
-    if not 1 <= n <= 30:
+    check_integer("n", n, 1)
+    if n > 30:
         raise ValueError(f"exact enumeration limited to 1 <= n <= 30, got {n}")
     if math.isnan(tau):
         raise ValueError(f"tau must be a number, got {tau}")
@@ -98,8 +99,8 @@ def tau_star_sparse(n: int, p: int) -> float:
     to tau = sqrt(log(1 + p) / n). Rounding can leave that value an ulp or two
     short of the inequality, so it is stepped up until the inequality holds.
     """
-    if n < 1 or p < 1:
-        raise ValueError("n and p must be >= 1")
+    check_integer("n", n, 1)
+    check_integer("p", p, 1)
     tau = math.sqrt(math.log1p(p) / n)
     while varL_sparse(n, p, chi2_shift_gaussian(tau)) < 1.0:
         tau = math.nextafter(tau, math.inf)
@@ -163,8 +164,7 @@ def bernoulli_bound_design(
 def _check_bound_args(l: float, mc: int):
     if not l > 0:  # NaN fails too
         raise ValueError(f"l must be > 0, got {l}")
-    if mc < 100:
-        raise ValueError(f"mc must be >= 100, got {mc}")
+    check_integer("mc", mc, 100)
 
 
 def _bernoulli_bound(gens: np.ndarray, l: float, mc: int, rng) -> BernoulliBound:
@@ -220,9 +220,8 @@ class ConsistencyInputs:
         # lowrank divides by sqrt(n), sparse_rotation by sqrt(2 log p)
         least_p = 2 if self.proposition == "sparse_rotation" else 1
         for name, least in (("n", 1), ("p", least_p)):
-            value = getattr(self, name)
-            if value is not None and not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value}")
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)

@@ -96,15 +96,23 @@ class TestTheorySubcommand:
         assert rc == 2
         assert "q" in err
 
+    # each id names the rule its case checks, so that a test's name does
+    # not change with the wording of its message
     @pytest.mark.parametrize("args, named", [
-        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=1"], "p must be at least 2"),
-        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=0"], "p must be at least 2"),
-        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=0", "p=3"], "n must be at least 1"),
-        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=-4", "p=3"], "n must be at least 1"),
+        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=1"],
+         "p must be an integer >= 2, got 1"),
+        (["sparse_rotation", "s_inf=1", "s_2=1", "t2=1", "p=0"],
+         "p must be an integer >= 2, got 0"),
+        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=0", "p=3"],
+         "n must be an integer >= 1, got 0"),
+        (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=-4", "p=3"],
+         "n must be an integer >= 1, got -4"),
         (["sparse_signflip", "s_inf=4", "t=nan"], "t must be nonnegative"),
         (["lowrank", "s_op=1", "s_2inf=1", "t2=1", "n=4.7", "p=3"],
-         "'n' must be an integer"),
-    ])
+         "n must be an integer >= 1, got 4.7"),
+    ], ids=[f"args{i}-{rule}" for i, rule in enumerate([
+        "p must be at least 2", "p must be at least 2", "n must be at least 1",
+        "n must be at least 1", "t must be nonnegative", "'n' must be an integer"])])
     def test_margin_bad_value_named(self, capsys, args, named):
         rc = cli.main(["theory", "margin", *args])
         captured = capsys.readouterr()
@@ -112,17 +120,24 @@ class TestTheorySubcommand:
         assert captured.err.startswith("error:") and named in captured.err
         assert captured.out == ""
 
+    # each id names the rule its case checks, so that a test's name does
+    # not change with the wording of its message
     @pytest.mark.parametrize("args, named", [
-        (["varL-sparse", "n=0", "p=5", "chi2=1"], "n and p must be >= 1"),
+        (["varL-sparse", "n=0", "p=5", "chi2=1"], "n must be an integer >= 1, got 0"),
         (["varL-sparse", "n=3", "p=5", "chi2=-1"], "chi2 must be >= 0"),
         (["varL-sparse", "n=3", "p=5", "chi2=nan"], "chi2 must be >= 0"),
         (["varL-sparse", "n=3", "p=5", "tau=nan"], "tau"),
-        (["varL-lowrank", "n=0", "tau=1"], "1 <= n <= 30"),
+        (["varL-lowrank", "n=0", "tau=1"], "n must be an integer >= 1, got 0"),
         (["varL-lowrank", "n=3", "tau=nan"], "tau"),
-        (["varL-sparse", "n=5.5", "p=4", "tau=0.5"], "'n' must be an integer"),
-        (["varL-sparse", "n=5", "p=4.0", "tau=0.5"], "'p' must be an integer"),
-        (["varL-lowrank", "n=3.9", "tau=1"], "'n' must be an integer"),
-    ])
+        (["varL-sparse", "n=5.5", "p=4", "tau=0.5"], "n must be an integer >= 1, got 5.5"),
+        (["varL-sparse", "n=5", "p=4.0", "tau=0.5"], "p must be an integer >= 1, got 4.0"),
+        (["varL-lowrank", "n=3.9", "tau=1"], "n must be an integer >= 1, got 3.9"),
+        (["varL-lowrank", "n=31", "tau=1"], "1 <= n <= 30, got 31"),
+        (["varL-sparse", "n=abc", "p=4", "tau=0.5"], "n must be an integer >= 1, got 'abc'"),
+    ], ids=[f"args{i}-{rule}" for i, rule in enumerate([
+        "n and p must be >= 1", "chi2 must be >= 0", "chi2 must be >= 0", "tau",
+        "1 <= n <= 30", "tau", "'n' must be an integer", "'p' must be an integer",
+        "'n' must be an integer", "1 <= n <= 30", "'n' must be an integer"])])
     def test_varl_bad_value_named(self, capsys, args, named):
         rc = cli.main(["theory", *args])
         captured = capsys.readouterr()
@@ -175,6 +190,18 @@ class TestTheorySubcommand:
         captured = capsys.readouterr()
         assert rc == 2
         assert "l must be > 0" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("params, named", [
+        (["mc=150.5", "seed=5"], "mc must be an integer >= 100, got 150.5"),
+        (["mc=200", "seed=5.5"], "seed must be a non-negative integer, got 5.5"),
+    ], ids=["mc", "seed"])
+    def test_bernoulli_bound_non_integer_named(self, tmp_path, capsys, params, named):
+        # the bound and the seed rule check the counts the CLI passes on as parsed
+        path = write_matrix(tmp_path, np.eye(3))
+        rc = cli.main(["theory", "bernoulli-bound", f"data={path}", "l=2", *params])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == f"error: {named}\n" and captured.out == ""
 
     def test_bernoulli_bound_bad_kind(self, tmp_path, capsys):
         path = write_matrix(tmp_path, np.eye(2))
@@ -506,6 +533,7 @@ class TestSimulateSubcommand:
         assert rc == 2
 
     def test_negative_design_seed_named(self, tmp_path, capsys):
+        # the regression design's seed is fixed; the key is no longer known
         config = write_config(tmp_path, scenario={
             "name": "regression", "alpha": 0.05, "replicates": 2, "grid_points": 2,
             "design_seed": -1})
@@ -513,7 +541,7 @@ class TestSimulateSubcommand:
         rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "design_seed must be a non-negative integer, got -1" in err
+        assert err.startswith("error: unknown config key: 'design_seed' (scenario 'regression')")
         assert not out.exists()
 
     def test_non_finite_grid_named(self, tmp_path, capsys):
@@ -585,8 +613,7 @@ class TestSimulateSubcommand:
         ("grid_points", {"scenario": {**TWO_SAMPLE, "grid_points": 2.0}}),
         ("K", {"scenario": {**TWO_SAMPLE, "K": 19.0}}),
         ("n2", {"scenario": {**TWO_SAMPLE, "n2": False}}),
-        ("design_seed", {"scenario": {"name": "regression", "alpha": 0.05,
-                                      "design_seed": 1.5}}),
+        ("n", {"scenario": {**TWO_SAMPLE, "n": 7.5}}),
         ("ks", {"scenario": {"name": "sparse_vector", "alpha": 0.05, "ks": [19.0]}}),
         ("ks", {"scenario": {"name": "sparse_vector", "alpha": 0.05, "ks": [19, True]}}),
         ("dfs", {"scenario": {"name": "heavy_tail", "alpha": 0.05, "dfs": [3, 2.5]}}),
@@ -597,12 +624,13 @@ class TestSimulateSubcommand:
         ("workers", {"workers": True}),
     ])
     def test_non_integer_named(self, tmp_path, capsys, key, overrides):
+        # the function that reads each key refuses it (ks and dfs entry by entry)
         config = write_config(tmp_path, **overrides)
         out = tmp_path / "curve.csv"
         rc = cli.main(["simulate", "--config", str(config), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error:") and repr(key) in err
+        assert err.startswith("error:") and f"{key} must be" in err
         assert not out.exists()
 
 

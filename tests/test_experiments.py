@@ -97,7 +97,9 @@ class TestConfigFactories:
         assert cfg.methods == ("signflip_K99",)
         assert cfg.noise.family == "heteroskedastic_sign_symmetric"
         assert cfg.noise.p == 1
-        assert cfg.design_seed == 12345
+        # the design is fixed by seed 12345, apart from the replicate streams
+        assert_array_equal(experiments.regression_design(cfg),
+                           RngStream(12345, 0).generator().standard_normal((100, 20)))
         assert cfg.grid[-1] == 6.0
 
     def test_scenario_names(self):
@@ -152,8 +154,6 @@ class TestScenarioConfigValidation:
         (two_sample_config, "replicates", True, "replicates must be an integer >= 1, got True"),
         (two_sample_config, "n2", True, "n2 must be an integer >= 1, got True"),
         (two_sample_config, "n2", 8.0, "n2 must be an integer >= 1, got 8.0"),
-        (regression_config, "design_seed", -1, "design_seed must be a non-negative integer, got -1"),
-        (regression_config, "design_seed", 1.0, "design_seed must be a non-negative integer, got 1.0"),
         (lowrank_config, "seed", True, "seed must be a non-negative integer, got True"),
     ])
     def test_integer_fields_refuse_bools_and_non_integers(self, factory, key, value, message):
@@ -163,8 +163,8 @@ class TestScenarioConfigValidation:
 
     def test_integer_fields_take_numpy_integers(self):
         cfg = regression_config(np.int64(1), n=np.int32(40), p=np.int64(5),
-                                replicates=np.uint8(3), design_seed=np.int64(7))
-        assert (cfg.n, cfg.p, cfg.replicates, cfg.seed, cfg.design_seed) == (40, 5, 3, 1, 7)
+                                replicates=np.uint8(3), K=np.int64(19))
+        assert (cfg.n, cfg.p, cfg.replicates, cfg.seed, cfg.methods) == (40, 5, 3, 1, ("signflip_K19",))
         assert two_sample_config(1, n=np.int64(6), n2=np.int64(7)).n2 == 7
 
     def test_units_fit_one_key_word(self):
@@ -411,6 +411,42 @@ class TestPowerCurve:
     def test_from_csv_empty(self):
         with pytest.raises(ValueError, match="no data"):
             PowerCurve.from_csv(CSV_HEADER + "\n")
+
+    # one row as to_csv writes it: 1 rejection in 10, power 0.1 and its se
+    _ROW = "two_sample,t_test,%s,10,1,%s,%s,7\n"
+    _POWER, _SE = "0.10000000000000001", "0.094868329805051388"
+
+    def test_from_csv_non_finite_signal_named(self):
+        # two nan signals would otherwise load as two grid points
+        text = CSV_HEADER + "\n" + 2 * (self._ROW % ("nan", self._POWER, self._SE))
+        with pytest.raises(ValueError, match=r"^line 2: signal nan is not finite$"):
+            PowerCurve.from_csv(text)
+
+    def test_from_csv_unparsed_fields_named(self):
+        text = CSV_HEADER + "\n" + self._ROW % ("0", "abc", "xyz")
+        with pytest.raises(ValueError, match=r"^line 2: power 'abc' is not 0.10000000000000001, "
+                                             r"the value of 1 rejections in 10$"):
+            PowerCurve.from_csv(text)
+
+    def test_from_csv_power_off_its_count_named(self):
+        text = CSV_HEADER + "\n" + self._ROW % ("0", "0.9", self._SE)
+        with pytest.raises(ValueError, match=r"^line 2: power '0.9' is not 0.10000000000000001"):
+            PowerCurve.from_csv(text)
+
+    def test_from_csv_se_off_its_count_named(self):
+        text = (CSV_HEADER + "\n" + self._ROW % ("0", self._POWER, self._SE)
+                + self._ROW % ("1", self._POWER, "0.09"))
+        with pytest.raises(ValueError, match=r"^line 3: se '0.09' is not 0.094868329805051388"):
+            PowerCurve.from_csv(text)
+
+    @pytest.mark.parametrize("reps, seed, message", [
+        ("0", "7", "replicates must be an integer >= 1, got 0"),
+        ("10", "-1", "seed must be a non-negative integer, got -1"),
+    ], ids=["reps", "seed"])
+    def test_from_csv_reps_and_seed_checked(self, reps, seed, message):
+        text = CSV_HEADER + f"\ntwo_sample,t_test,0,{reps},0,0,0,{seed}\n"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PowerCurve.from_csv(text)
 
 
 class TestRunners:

@@ -55,7 +55,7 @@ class TestSignflips:
         assert set(np.unique(signs)) == {-1.0, 1.0}
 
     def test_size_validation(self):
-        with pytest.raises(ValueError, match="signflip_rows needs n >= 1"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
             GroupAction("signflip_rows", n=0)
 
 
@@ -195,7 +195,7 @@ class TestGroupAction:
 
     @pytest.mark.parametrize("p", [0, -2])
     def test_per_column_rotations_need_a_column(self, p):
-        with pytest.raises(ValueError, match=f"needs p >= 1 columns, got p = {p}$"):
+        with pytest.raises(ValueError, match=f"^p must be an integer >= 1, got {p}$"):
             GroupAction("rotate_per_column", n=6, p=p)
         # p = None still means one column: a vector
         vector = GroupAction("rotate_per_column", n=6).randomize(np.ones(6), RngStream(1))

@@ -135,5 +135,5 @@ class TestNoiseSpecValidation:
             NoiseSpec(n=3, p=3, **kwargs)
 
     def test_dimensions(self):
-        with pytest.raises(ValueError, match="dimensions"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
             NoiseSpec("iid_normal", n=0, p=2)

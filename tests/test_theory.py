@@ -160,7 +160,7 @@ class TestTauStarSparse:
                 math.sqrt(math.log1p(p) / n), rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="n and p"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1, got 0$"):
             tau_star_sparse(0, 10)
 
 
@@ -348,15 +348,26 @@ class TestConsistencyMargin:
         with pytest.raises(ValueError, match="psi"):
             ConsistencyInputs("twosample", delta=1.0, t=1.0, psi=0.0)
 
+    # each id names the rule its case checks, so that a test's name does
+    # not change with the wording of its message
     @pytest.mark.parametrize("proposition, fields, named", [
         ("sparse_signflip", dict(s_inf=1.0, t=math.nan), "t must be nonnegative"),
         ("twosample", dict(delta=math.nan, t=1.0), "delta must be nonnegative"),
-        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=1), "p must be at least 2"),
-        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=0), "p must be at least 2"),
-        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=0, p=3), "n must be at least 1"),
-        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=-4, p=3), "n must be at least 1"),
-        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=3, p=0), "p must be at least 1"),
-    ])
+        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=1),
+         "p must be an integer >= 2, got 1"),
+        ("sparse_rotation", dict(s_inf=1.0, s_2=1.0, t2=1.0, p=0),
+         "p must be an integer >= 2, got 0"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=0, p=3),
+         "n must be an integer >= 1, got 0"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=-4, p=3),
+         "n must be an integer >= 1, got -4"),
+        ("lowrank", dict(s_op=1.0, s_2inf=1.0, t2=1.0, n=3, p=0),
+         "p must be an integer >= 1, got 0"),
+    ], ids=[f"{prop}-fields{i}-{rule}" for i, (prop, rule) in enumerate([
+        ("sparse_signflip", "t must be nonnegative"), ("twosample", "delta must be nonnegative"),
+        ("sparse_rotation", "p must be at least 2"), ("sparse_rotation", "p must be at least 2"),
+        ("lowrank", "n must be at least 1"), ("lowrank", "n must be at least 1"),
+        ("lowrank", "p must be at least 1")])])
     def test_bad_value_named(self, proposition, fields, named):
         with pytest.raises(ValueError, match=named):
             ConsistencyInputs(proposition, **fields)
